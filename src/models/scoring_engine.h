@@ -30,8 +30,8 @@ struct PairKey {
   }
 };
 
-/// Hashes the pair's attribute values with side/value separators (the
-/// same framing CachingMatcher uses for its string keys).
+/// Hashes the pair's attribute values, with a separator byte after each
+/// value and between the two sides.
 PairKey HashPair(const data::Record& u, const data::Record& v);
 
 /// Hash functor for PairKey-keyed maps (cache shards, batch dedupe,
@@ -44,8 +44,8 @@ struct PairKeyHasher {
 
 /// Sharded, thread-safe score cache. Each shard has its own mutex and
 /// map, so concurrent lookups from pool workers rarely contend. A shard
-/// that exceeds its entry budget is cleared wholesale (same policy as
-/// CachingMatcher), with the dropped entries counted as evictions.
+/// that exceeds its entry budget is cleared wholesale, with the dropped
+/// entries counted as evictions.
 class PredictionCache {
  public:
   struct Stats {

@@ -1,7 +1,5 @@
 #include "models/trainer.h"
 
-#include <unordered_map>
-
 #include "ml/metrics.h"
 #include "models/deeper_model.h"
 #include "models/deepmatcher_model.h"
@@ -9,6 +7,7 @@
 #include "models/svm_model.h"
 #include "util/archive.h"
 #include "util/logging.h"
+#include "util/string_utils.h"
 
 namespace certa::models {
 
@@ -32,6 +31,16 @@ std::string ModelKindName(ModelKind kind) {
   return "?";
 }
 
+bool ModelKindFromName(const std::string& name, ModelKind* kind) {
+  const std::string lowered = ToLowerAscii(name);
+  if (lowered == "deeper") *kind = ModelKind::kDeepEr;
+  else if (lowered == "deepmatcher") *kind = ModelKind::kDeepMatcher;
+  else if (lowered == "ditto") *kind = ModelKind::kDitto;
+  else if (lowered == "svm") *kind = ModelKind::kSvm;
+  else return false;
+  return true;
+}
+
 std::unique_ptr<Matcher> TrainMatcher(ModelKind kind,
                                       const data::Dataset& dataset,
                                       uint64_t seed) {
@@ -53,6 +62,38 @@ std::unique_ptr<Matcher> TrainMatcher(ModelKind kind,
   CERTA_CHECK(model != nullptr);
   model->Fit(dataset, seed);
   return model;
+}
+
+uint64_t DatasetFingerprint(const data::Dataset& dataset) {
+  uint64_t hash = 1469598103934665603ULL;
+  auto mix_int = [&hash](long long value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= static_cast<unsigned char>(value >> (8 * i));
+      hash *= 1099511628211ULL;
+    }
+  };
+  auto mix = [&hash, &mix_int](const std::string& value) {
+    mix_int(static_cast<long long>(value.size()));
+    for (char c : value) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ULL;
+    }
+  };
+  auto mix_all = [&mix, &mix_int](const std::vector<std::string>& values) {
+    mix_int(static_cast<long long>(values.size()));
+    for (const std::string& value : values) mix(value);
+  };
+  mix_all(dataset.left.schema().names());
+  mix_all(dataset.right.schema().names());
+  mix_int(static_cast<long long>(dataset.train.size()));
+  for (const data::LabeledPair& pair : dataset.train) {
+    mix_int(pair.left_index);
+    mix_int(pair.right_index);
+    mix_int(pair.label);
+    mix_all(dataset.left.record(pair.left_index).values);
+    mix_all(dataset.right.record(pair.right_index).values);
+  }
+  return hash;
 }
 
 namespace {
@@ -122,39 +163,6 @@ double EvaluateF1(const Matcher& matcher, const data::Table& left,
                               : 0);
   }
   return ml::F1Score(labels, predictions);
-}
-
-CachingMatcher::CachingMatcher(const Matcher* base, size_t max_entries)
-    : base_(base), max_entries_(max_entries) {
-  CERTA_CHECK(base != nullptr);
-}
-
-double CachingMatcher::Score(const data::Record& u,
-                             const data::Record& v) const {
-  std::string key;
-  size_t total = 2;
-  for (const std::string& value : u.values) total += value.size() + 1;
-  for (const std::string& value : v.values) total += value.size() + 1;
-  key.reserve(total);
-  for (const std::string& value : u.values) {
-    key += value;
-    key.push_back('\x1f');
-  }
-  key.push_back('\x1e');
-  for (const std::string& value : v.values) {
-    key += value;
-    key.push_back('\x1f');
-  }
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  if (cache_.size() >= max_entries_) cache_.clear();
-  double score = base_->Score(u, v);
-  cache_.emplace(std::move(key), score);
-  ++misses_;
-  return score;
 }
 
 }  // namespace certa::models

@@ -1,8 +1,8 @@
 #ifndef CERTA_MODELS_TRAINER_H_
 #define CERTA_MODELS_TRAINER_H_
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <string>
 #include <vector>
 
@@ -28,10 +28,30 @@ const std::vector<ModelKind>& AllModelKinds();
 /// Display name matching the paper's tables.
 std::string ModelKindName(ModelKind kind);
 
+/// Parses a model name as requests spell it ("deeper", "deepmatcher",
+/// "ditto", "svm"; case-insensitive). False (and `kind` untouched) for
+/// anything else.
+bool ModelKindFromName(const std::string& name, ModelKind* kind);
+
+/// The seed TrainMatcher uses unless told otherwise.
+inline constexpr uint64_t kDefaultTrainingSeed = 42;
+
 /// Trains a fresh matcher of the given kind on `dataset.train`.
 std::unique_ptr<Matcher> TrainMatcher(ModelKind kind,
                                       const data::Dataset& dataset,
-                                      uint64_t seed = 42);
+                                      uint64_t seed = kDefaultTrainingSeed);
+
+/// Content fingerprint of the *training inputs* TrainMatcher reads:
+/// both schemas plus every train pair (indices, label, and the values
+/// of the two records it references). Training is seeded and
+/// deterministic, and every Fit implementation reads exactly these, so
+/// (model kind, fingerprint, seed) pins a trained matcher's parameters
+/// — it keys the ModelRegistry and, with the matcher id, the score
+/// store's scope (persist::HashScope). Records outside the train set
+/// (streaming upserts of test-side rows) leave it unchanged on purpose.
+/// Every list is length-prefixed, so values cannot slide across a
+/// schema, record or string boundary and alias another dataset.
+uint64_t DatasetFingerprint(const data::Dataset& dataset);
 
 /// Persists a trained matcher created by TrainMatcher to a text-archive
 /// file (model kind + head parameters). False on I/O failure.
@@ -47,32 +67,6 @@ std::unique_ptr<Matcher> LoadMatcher(const std::string& path,
 double EvaluateF1(const Matcher& matcher, const data::Table& left,
                   const data::Table& right,
                   const std::vector<data::LabeledPair>& pairs);
-
-/// Memoizing decorator: explanation methods score the same perturbed
-/// pairs repeatedly (lattice nodes recur across triangles; saliency and
-/// counterfactual passes share inputs), so a value-keyed score cache
-/// cuts most of the model-call cost. The cache resets itself when it
-/// exceeds `max_entries` to bound memory.
-class CachingMatcher : public Matcher {
- public:
-  /// Does not take ownership of `base`, which must outlive this object.
-  explicit CachingMatcher(const Matcher* base, size_t max_entries = 1 << 20);
-
-  double Score(const data::Record& u, const data::Record& v) const override;
-  std::string name() const override { return base_->name(); }
-
-  /// Number of underlying model invocations (cache misses) so far.
-  size_t miss_count() const { return misses_; }
-  /// Number of Score calls served from the cache.
-  size_t hit_count() const { return hits_; }
-
- private:
-  const Matcher* base_;
-  size_t max_entries_;
-  mutable std::unordered_map<std::string, double> cache_;
-  mutable size_t hits_ = 0;
-  mutable size_t misses_ = 0;
-};
 
 }  // namespace certa::models
 

@@ -10,78 +10,19 @@
 #include "data/benchmarks.h"
 #include "data/csv.h"
 #include "data/dataset.h"
+#include "models/model_registry.h"
 #include "models/trainer.h"
 #include "persist/dir_lock.h"
 #include "persist/journal.h"
 #include "util/atomic_file.h"
-#include "util/string_utils.h"
 
 namespace certa::service {
 namespace {
-
-bool ModelKindFromName(const std::string& name, models::ModelKind* kind) {
-  std::string lowered = ToLowerAscii(name);
-  if (lowered == "deeper") *kind = models::ModelKind::kDeepEr;
-  else if (lowered == "deepmatcher") *kind = models::ModelKind::kDeepMatcher;
-  else if (lowered == "ditto") *kind = models::ModelKind::kDitto;
-  else if (lowered == "svm") *kind = models::ModelKind::kSvm;
-  else return false;
-  return true;
-}
 
 persist::JobCheckpoint CheckpointFromSpec(const JobSpec& spec) {
   persist::JobCheckpoint checkpoint;
   checkpoint.request = spec;
   return checkpoint;
-}
-
-/// Content fingerprint of the *training inputs* a model was trained on
-/// — the model half of a score-store key. Training is seeded and
-/// deterministic, and every Fit implementation reads exactly the train
-/// pairs plus the records those pairs reference (models/trainer.cc),
-/// so (model kind, training inputs) pins the matcher's parameters
-/// exactly. Hashing record contents (not the dataset code or path)
-/// means a store entry can never be served to a model trained on
-/// different data that happens to share a name — while records outside
-/// the train set (streaming upserts of test-side rows) leave the
-/// fingerprint unchanged, so a mutated dataset keeps sharing every
-/// paid score its unchanged model can still vouch for. (Stale pair
-/// scores are impossible regardless: models::PairKey hashes the pair's
-/// record contents.)
-uint64_t DatasetFingerprint(const data::Dataset& dataset) {
-  uint64_t hash = 1469598103934665603ULL;
-  auto mix = [&hash](const std::string& value) {
-    for (char c : value) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ULL;
-    }
-    hash ^= 0x1F;
-    hash *= 1099511628211ULL;
-  };
-  auto mix_int = [&hash](long long value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= static_cast<unsigned char>(value >> (8 * i));
-      hash *= 1099511628211ULL;
-    }
-  };
-  for (const data::Table* table : {&dataset.left, &dataset.right}) {
-    for (const std::string& name : table->schema().names()) mix(name);
-  }
-  mix_int(static_cast<long long>(dataset.train.size()));
-  for (const data::LabeledPair& pair : dataset.train) {
-    mix_int(pair.left_index);
-    mix_int(pair.right_index);
-    mix_int(pair.label);
-    for (const std::string& value :
-         dataset.left.record(pair.left_index).values) {
-      mix(value);
-    }
-    for (const std::string& value :
-         dataset.right.record(pair.right_index).values) {
-      mix(value);
-    }
-  }
-  return hash;
 }
 
 }  // namespace
@@ -200,7 +141,7 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
                 std::to_string(dataset.test.size()) + " pairs)");
   }
   models::ModelKind kind;
-  if (!ModelKindFromName(spec.model, &kind)) {
+  if (!models::ModelKindFromName(spec.model, &kind)) {
     return fail("unknown model " + spec.model);
   }
 
@@ -236,9 +177,14 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
     }
   }
 
-  // -- model (training is seeded and deterministic: every run of this
-  // job dir scores with the identical matcher) --
-  std::unique_ptr<models::Matcher> model = models::TrainMatcher(kind, dataset);
+  // -- model: training is seeded and deterministic, so (kind, training
+  // data, seed) is the matcher's identity. The worker's registry trains
+  // it on the first job that needs it and shares it read-only after,
+  // and every run of this job dir scores with the identical matcher. --
+  const uint64_t fingerprint = models::DatasetFingerprint(dataset);
+  const std::shared_ptr<const models::Matcher> model =
+      models::ModelRegistry::Global().Get({kind, fingerprint}, dataset,
+                                          options.metrics);
 
   // -- durable run --
   persist::JobCheckpoint checkpoint = CheckpointFromSpec(spec);
@@ -294,12 +240,10 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
   explainer_options.trace = options.trace;
   explainer_options.use_candidate_index = options.use_candidate_index;
   if (options.store != nullptr && options.store->is_open()) {
-    // Scope store entries to (matcher id, model fingerprint): the
-    // deterministic trainer makes (kind, training data) the model's
-    // identity, so jobs over the same benchmark share paid scores
-    // while different models/data can never collide.
-    const uint64_t scope =
-        persist::HashScope(spec.model, DatasetFingerprint(dataset));
+    // Scope store entries to the model's identity (matcher id +
+    // training fingerprint): jobs over the same benchmark share paid
+    // scores while different models/data can never collide.
+    const uint64_t scope = persist::HashScope(spec.model, fingerprint);
     persist::ScoreStore* store = options.store;
     // Start the run with the freshest view of sibling streams a shared
     // store can offer (no-op for a single-writer store).

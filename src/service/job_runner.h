@@ -107,6 +107,7 @@ struct DurableRunOptions {
   /// inside the snapshot are valid only for the callback's duration.
   std::function<void(const core::ExplainProgress&)> progress;
   /// Observability (not owned; nullptr = uninstrumented). Flows into
+  /// the model registry lookup (models.registry.*, models.train_us),
   /// the journal (journal.*), checkpoint writes (checkpoint.*), and the
   /// explainer/engine underneath (explain.*, scoring.*). Results and
   /// durable state are bit-identical either way.
@@ -134,6 +135,9 @@ struct DurableRunOptions {
 };
 
 /// Runs one explanation job durably inside `job_dir`:
+///   - takes its matcher from models::ModelRegistry::Global(), which
+///     trains it on the first job per (model, training data) in this
+///     process and shares it read-only after;
 ///   - replays any existing journal (torn tails discarded) into the
 ///     prediction cache, so already-paid model calls are never re-paid;
 ///   - write-ahead journals every fresh score, fsync'd on the

@@ -112,59 +112,85 @@ TEST(EvaluateF1Test, PerfectOracle) {
       EvaluateF1(oracle, dataset.left, dataset.right, dataset.test), 1.0);
 }
 
-TEST(CachingMatcherTest, CachesByValue) {
-  int base_calls = 0;
-  FakeMatcher base([&](const data::Record&, const data::Record&) {
-    ++base_calls;
-    return 0.7;
-  });
-  CachingMatcher cached(&base);
-  data::Record u = MakeRecord(0, {"a", "b"});
-  data::Record v = MakeRecord(1, {"c", "d"});
-  EXPECT_DOUBLE_EQ(cached.Score(u, v), 0.7);
-  EXPECT_DOUBLE_EQ(cached.Score(u, v), 0.7);
-  EXPECT_EQ(base_calls, 1);
-  EXPECT_EQ(cached.hit_count(), 1u);
-  EXPECT_EQ(cached.miss_count(), 1u);
-  // Same values, different id: still a cache hit (value-keyed).
-  data::Record u2 = MakeRecord(99, {"a", "b"});
-  cached.Score(u2, v);
-  EXPECT_EQ(base_calls, 1);
+TEST(ModelKindFromNameTest, ParsesEveryKindCaseInsensitively) {
+  for (ModelKind kind : {ModelKind::kDeepEr, ModelKind::kDeepMatcher,
+                         ModelKind::kDitto, ModelKind::kSvm}) {
+    ModelKind parsed = kind == ModelKind::kSvm ? ModelKind::kDitto
+                                               : ModelKind::kSvm;
+    EXPECT_TRUE(ModelKindFromName(ModelKindName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+  }
+  ModelKind kind = ModelKind::kDitto;
+  EXPECT_TRUE(ModelKindFromName("deepmatcher", &kind));
+  EXPECT_EQ(kind, ModelKind::kDeepMatcher);
+  EXPECT_FALSE(ModelKindFromName("bert", &kind));
+  EXPECT_FALSE(ModelKindFromName("", &kind));
+  EXPECT_EQ(kind, ModelKind::kDeepMatcher);
 }
 
-TEST(CachingMatcherTest, DistinguishesSides) {
-  // <u, v> and <v, u> must not collide in the cache.
-  FakeMatcher base([](const data::Record& u, const data::Record&) {
-    return u.value(0) == "left" ? 0.9 : 0.1;
-  });
-  CachingMatcher cached(&base);
-  data::Record a = MakeRecord(0, {"left"});
-  data::Record b = MakeRecord(1, {"right"});
-  EXPECT_DOUBLE_EQ(cached.Score(a, b), 0.9);
-  EXPECT_DOUBLE_EQ(cached.Score(b, a), 0.1);
+/// Row 0 of each side forms the one train pair; row 1 of each side is
+/// read by the test pair only.
+data::Dataset TinyDataset(std::vector<std::string> left_names,
+                          std::vector<std::string> left_values,
+                          std::vector<std::string> right_names,
+                          std::vector<std::string> right_values) {
+  data::Dataset dataset;
+  std::vector<std::string> left_other(left_values.size(), "other");
+  std::vector<std::string> right_other(right_values.size(), "other");
+  dataset.left = testing::MakeTable("L", std::move(left_names),
+                                    {std::move(left_values), left_other});
+  dataset.right = testing::MakeTable("R", std::move(right_names),
+                                     {std::move(right_values), right_other});
+  dataset.train = {{0, 0, 1}};
+  dataset.test = {{1, 1, 0}};
+  return dataset;
 }
 
-TEST(CachingMatcherTest, DistinguishesValueBoundaries) {
-  // {"ab", "c"} vs {"a", "bc"} must hash to different keys.
-  FakeMatcher base([](const data::Record& u, const data::Record&) {
-    return u.value(0).size() == 2 ? 0.9 : 0.1;
-  });
-  CachingMatcher cached(&base);
-  data::Record v = MakeRecord(9, {"x"});
-  EXPECT_DOUBLE_EQ(cached.Score(MakeRecord(0, {"ab", "c"}), v), 0.9);
-  EXPECT_DOUBLE_EQ(cached.Score(MakeRecord(1, {"a", "bc"}), v), 0.1);
+TEST(DatasetFingerprintTest, ValuesNeverSlideAcrossABoundary) {
+  // Schema names and train values split differently between the two
+  // tables: the same concatenation, different training data.
+  EXPECT_NE(DatasetFingerprint(TinyDataset({"x", "y"}, {"a", "b"}, {"z"},
+                                           {"c"})),
+            DatasetFingerprint(TinyDataset({"x"}, {"a"}, {"y", "z"},
+                                           {"b", "c"})));
+  // Characters moved across a value boundary, with and without a
+  // separator byte inside the values.
+  EXPECT_NE(DatasetFingerprint(TinyDataset({"x", "y"}, {"ab", "c"}, {"z"},
+                                           {"d"})),
+            DatasetFingerprint(TinyDataset({"x", "y"}, {"a", "bc"}, {"z"},
+                                           {"d"})));
+  EXPECT_NE(DatasetFingerprint(TinyDataset({"x", "y"}, {"a\x1f" "b", "c"},
+                                           {"z"}, {"d"})),
+            DatasetFingerprint(TinyDataset({"x", "y"}, {"a", "b\x1f" "c"},
+                                           {"z"}, {"d"})));
 }
 
-TEST(CachingMatcherTest, EvictsWhenFull) {
-  FakeMatcher base([](const data::Record&, const data::Record&) {
-    return 0.5;
-  });
-  CachingMatcher cached(&base, /*max_entries=*/2);
-  data::Record v = MakeRecord(0, {"v"});
-  cached.Score(MakeRecord(1, {"a"}), v);
-  cached.Score(MakeRecord(2, {"b"}), v);
-  cached.Score(MakeRecord(3, {"c"}), v);  // triggers reset, no crash
-  EXPECT_EQ(cached.miss_count(), 3u);
+TEST(DatasetFingerprintTest, TrainingInputsMoveItTestRecordsDoNot) {
+  const auto base = [] {
+    return TinyDataset({"x", "y"}, {"a", "b"}, {"x", "y"}, {"c", "d"});
+  };
+  const uint64_t fingerprint = DatasetFingerprint(base());
+  EXPECT_EQ(DatasetFingerprint(base()), fingerprint);
+
+  data::Dataset value = base();
+  value.right = testing::MakeTable("R", {"x", "y"},
+                                   {{"c", "d2"}, {"other", "other"}});
+  EXPECT_NE(DatasetFingerprint(value), fingerprint);
+
+  data::Dataset label = base();
+  label.train[0].label = 0;
+  EXPECT_NE(DatasetFingerprint(label), fingerprint);
+
+  const data::Dataset schema =
+      TinyDataset({"x", "w"}, {"a", "b"}, {"x", "y"}, {"c", "d"});
+  EXPECT_NE(DatasetFingerprint(schema), fingerprint);
+
+  // Test-side records and pairs are not training inputs.
+  data::Dataset test_side = base();
+  test_side.left = testing::MakeTable("L", {"x", "y"},
+                                      {{"a", "b"}, {"changed", "row"}});
+  test_side.test.push_back({0, 1, 0});
+  EXPECT_EQ(DatasetFingerprint(test_side), fingerprint);
 }
 
 TEST(DeepMatcherModelTest, FeatureDimensionPerAttribute) {

@@ -86,6 +86,7 @@ namespace {
 
 using certa::data::Dataset;
 using certa::models::ModelKind;
+using certa::models::ModelKindFromName;
 
 struct Args {
   std::string command;
@@ -257,16 +258,6 @@ std::unique_ptr<certa::persist::ScoreStore> OpenStoreFromArgs(
   return store;
 }
 
-bool ParseModel(const std::string& name, ModelKind* kind) {
-  std::string lowered = certa::ToLowerAscii(name);
-  if (lowered == "deeper") *kind = ModelKind::kDeepEr;
-  else if (lowered == "deepmatcher") *kind = ModelKind::kDeepMatcher;
-  else if (lowered == "ditto") *kind = ModelKind::kDitto;
-  else if (lowered == "svm") *kind = ModelKind::kSvm;
-  else return false;
-  return true;
-}
-
 bool LoadData(const Args& args, Dataset* dataset) {
   std::string code = args.Get("dataset", "AB");
   if (args.Has("data")) {
@@ -368,7 +359,7 @@ int CmdTrain(const Args& args) {
   Dataset dataset;
   if (!LoadData(args, &dataset)) return 1;
   ModelKind kind;
-  if (!ParseModel(args.Get("model", "ditto"), &kind)) return Usage();
+  if (!ModelKindFromName(args.Get("model", "ditto"), &kind)) return Usage();
   auto model = certa::models::TrainMatcher(kind, dataset);
   if (args.Has("save")) {
     if (!certa::models::SaveMatcher(*model, kind, args.Get("save", ""))) {
@@ -402,7 +393,7 @@ int CmdExplain(const Args& args) {
   Dataset dataset;
   if (!LoadDataForRequest(request, &dataset)) return 1;
   ModelKind kind;
-  if (!ParseModel(request.model, &kind)) return Usage();
+  if (!ModelKindFromName(request.model, &kind)) return Usage();
   if (request.pair_index >= static_cast<int>(dataset.test.size())) {
     std::cerr << "error: --pair out of range (test set has "
               << dataset.test.size() << " pairs)\n";
@@ -599,7 +590,7 @@ int CmdGlobal(const Args& args) {
   Dataset dataset;
   if (!LoadData(args, &dataset)) return 1;
   ModelKind kind;
-  if (!ParseModel(args.Get("model", "ditto"), &kind)) return Usage();
+  if (!ModelKindFromName(args.Get("model", "ditto"), &kind)) return Usage();
   int max_pairs = 0;
   int threads = 0;
   if (!ParseIntFlag(args, "pairs", 20, 1, &max_pairs) ||

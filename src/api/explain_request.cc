@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "models/model_kind.h"
 #include "util/json_writer.h"
 #include "util/string_utils.h"
 
@@ -51,9 +52,22 @@ bool NarrowToInt(const std::string& key, long long value, int* out,
   return true;
 }
 
+/// Exact, case-sensitive match against the shared model-name list.
 bool KnownModel(const std::string& model) {
-  return model == "deeper" || model == "deepmatcher" || model == "ditto" ||
-         model == "svm";
+  for (const models::ModelName& entry : models::kModelNames) {
+    if (entry.name == model) return true;
+  }
+  return false;
+}
+
+/// "deeper | deepmatcher | ditto | svm", from the same list.
+std::string ModelChoices() {
+  std::string choices;
+  for (const models::ModelName& entry : models::kModelNames) {
+    if (!choices.empty()) choices += " | ";
+    choices += entry.name;
+  }
+  return choices;
 }
 
 }  // namespace
@@ -76,8 +90,8 @@ bool ExplainRequest::Validate(std::string* error) const {
   }
   if (dataset.empty()) return fail("dataset must not be empty");
   if (!KnownModel(model)) {
-    return fail("unknown model '" + model +
-                "' (want deeper | deepmatcher | ditto | svm)");
+    return fail("unknown model '" + model + "' (want " + ModelChoices() +
+                ")");
   }
   if (pair_index < 0) return fail("pair must be >= 0");
   if (triangles < 2) return fail("triangles must be >= 2");

@@ -267,7 +267,8 @@ CertaResult CertaExplainer::Explain(const data::Record& u,
   // is exactly the batched Tag's, so the tags are bit-identical to
   // tagging each triangle alone — only the batch boundaries change,
   // which turns dozens of small per-level batches into a few large
-  // ones the engine (memoized featurization, pool chunks) can amortize.
+  // ones the model (per-record featurization over the lent pool) can
+  // amortize.
   const size_t group_size =
       static_cast<size_t>(std::max(1, options_.lattice_group_size));
   for (size_t g = 0; g < triangles.size(); g += group_size) {

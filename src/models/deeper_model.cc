@@ -1,7 +1,6 @@
 #include "models/deeper_model.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -89,24 +88,14 @@ ml::Vector DeepErModel::Features(const data::Record& u,
                       MakeRep(v, word_embedder_, ngram_embedder_));
 }
 
-std::vector<ml::Vector> DeepErModel::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
-  std::vector<RecordRep> reps;
-  std::unordered_map<const data::Record*, size_t> rep_index;
-  auto rep_of = [&](const data::Record* record) {
-    auto [it, inserted] = rep_index.try_emplace(record, reps.size());
-    if (inserted) reps.push_back(MakeRep(*record, word_embedder_,
-                                         ngram_embedder_));
-    return it->second;
-  };
-  std::vector<ml::Vector> rows;
-  rows.reserve(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    size_t left = rep_of(pair.left);
-    size_t right = rep_of(pair.right);
-    rows.push_back(PairFeatures(reps[left], reps[right]));
-  }
-  return rows;
+std::unique_ptr<FeatureMatcher::Batch> DeepErModel::NewBatch(
+    size_t records) const {
+  return MakeRepBatch<RecordRep>(
+      records,
+      [this](const data::Record& record) {
+        return MakeRep(record, word_embedder_, ngram_embedder_);
+      },
+      PairFeatures);
 }
 
 }  // namespace certa::models

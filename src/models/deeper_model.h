@@ -28,11 +28,9 @@ class DeepErModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Shares the per-record work (tokenization + both embeddings) across
-  /// pairs repeating a record, keyed by record identity. Bit-identical
-  /// to per-pair Features.
-  std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const override;
+  /// Builds the per-record work (tokenization + both embeddings) once
+  /// per distinct record of a batch. Bit-identical to per-pair Features.
+  std::unique_ptr<Batch> NewBatch(size_t records) const override;
 
  private:
   text::HashingVectorizer word_embedder_;

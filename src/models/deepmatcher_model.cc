@@ -1,7 +1,6 @@
 #include "models/deepmatcher_model.h"
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -11,15 +10,16 @@ namespace certa::models {
 namespace {
 
 /// Per-attribute preprocessing shared by every pair the attribute value
-/// participates in: missing flag, token list, normalized string, the
-/// numeric parse AttributeSimilarity would redo, and the sorted trigram
-/// shingle set (the dominant per-comparison cost).
+/// participates in: missing flag, token list and its sorted unique set,
+/// normalized string, the numeric parse AttributeSimilarity would redo,
+/// and the sorted trigram shingle set (the dominant per-comparison
+/// cost).
 struct AttributeRep {
-  const std::string* value = nullptr;
   bool missing = false;
   bool is_numeric = false;
   double numeric = 0.0;
   std::vector<std::string> tokens;
+  std::vector<std::string> unique_tokens;
   std::string normalized;
   std::vector<uint64_t> shingles;
 };
@@ -28,25 +28,26 @@ std::vector<AttributeRep> MakeRep(const data::Record& record) {
   std::vector<AttributeRep> attrs(record.values.size());
   for (size_t a = 0; a < record.values.size(); ++a) {
     AttributeRep& rep = attrs[a];
-    rep.value = &record.values[a];
     rep.missing = text::IsMissing(record.values[a]);
     if (rep.missing) continue;
     rep.is_numeric = text::TryParseNumeric(record.values[a], &rep.numeric);
     rep.tokens = text::Tokenize(record.values[a]);
+    rep.unique_tokens = text::UniqueTokens(rep.tokens);
     rep.shingles = text::TrigramShingles(record.values[a]);
     rep.normalized = text::Normalize(record.values[a]);
   }
   return attrs;
 }
 
-/// AttributeSimilarity over precomputed reps (both values non-missing):
-/// same numeric fast path, then the Jaccard/trigram blend over the
-/// already-tokenized-and-shingled values.
-double RepAttributeSimilarity(const AttributeRep& u, const AttributeRep& v) {
+/// AttributeSimilarity over precomputed reps (both values non-missing)
+/// and their token Jaccard: same numeric fast path, then the same
+/// Jaccard/trigram blend.
+double RepAttributeSimilarity(const AttributeRep& u, const AttributeRep& v,
+                              double jaccard) {
   if (u.is_numeric && v.is_numeric) {
     return text::NumericSimilarity(u.numeric, v.numeric);
   }
-  return 0.5 * text::JaccardSimilarity(u.tokens, v.tokens) +
+  return 0.5 * jaccard +
          0.5 * text::TrigramSimilarityOfShingles(u.shingles, v.shingles);
 }
 
@@ -68,11 +69,14 @@ ml::Vector PairFeatures(const std::vector<AttributeRep>& u,
                        rep_u.missing != rep_v.missing ? 1.0 : 0.0});
       continue;
     }
-    features.push_back(text::JaccardSimilarity(rep_u.tokens, rep_v.tokens));
+    // JaccardSimilarity(tokens) is JaccardOfUnique over the unique sets.
+    const double jaccard =
+        text::JaccardOfUnique(rep_u.unique_tokens, rep_v.unique_tokens);
+    features.push_back(jaccard);
     features.push_back(
         text::LevenshteinSimilarity(rep_u.normalized, rep_v.normalized));
     features.push_back(text::SymmetricMongeElkan(rep_u.tokens, rep_v.tokens));
-    features.push_back(RepAttributeSimilarity(rep_u, rep_v));
+    features.push_back(RepAttributeSimilarity(rep_u, rep_v, jaccard));
     features.push_back(0.0);  // missing_both
     features.push_back(0.0);  // missing_one
   }
@@ -88,23 +92,10 @@ ml::Vector DeepMatcherModel::Features(const data::Record& u,
   return PairFeatures(MakeRep(u), MakeRep(v));
 }
 
-std::vector<ml::Vector> DeepMatcherModel::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
-  std::vector<std::vector<AttributeRep>> reps;
-  std::unordered_map<const data::Record*, size_t> rep_index;
-  auto rep_of = [&](const data::Record* record) {
-    auto [it, inserted] = rep_index.try_emplace(record, reps.size());
-    if (inserted) reps.push_back(MakeRep(*record));
-    return it->second;
-  };
-  std::vector<ml::Vector> rows;
-  rows.reserve(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    size_t left = rep_of(pair.left);
-    size_t right = rep_of(pair.right);
-    rows.push_back(PairFeatures(reps[left], reps[right]));
-  }
-  return rows;
+std::unique_ptr<FeatureMatcher::Batch> DeepMatcherModel::NewBatch(
+    size_t records) const {
+  return MakeRepBatch<std::vector<AttributeRep>>(records, MakeRep,
+                                                 PairFeatures);
 }
 
 }  // namespace certa::models

@@ -30,11 +30,10 @@ class DeepMatcherModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Shares per-attribute preprocessing (tokenization, normalization,
-  /// numeric parsing) across pairs repeating a record. Bit-identical to
-  /// per-pair Features.
-  std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const override;
+  /// Builds the per-attribute preprocessing (tokenization,
+  /// normalization, numeric parsing, shingles) once per distinct record
+  /// of a batch. Bit-identical to per-pair Features.
+  std::unique_ptr<Batch> NewBatch(size_t records) const override;
 };
 
 }  // namespace certa::models

@@ -1,6 +1,7 @@
 #include "models/ditto_model.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <unordered_map>
 
@@ -99,7 +100,6 @@ double NumericAgreement(const std::vector<std::string>& a,
 /// per-gram substr allocations).
 struct RecordRep {
   std::vector<std::string> seq;
-  std::vector<std::string> unique_seq;
   ml::Vector gram_embed;
 };
 
@@ -107,7 +107,6 @@ RecordRep MakeRep(const data::Record& record,
                   const text::HashingVectorizer& ngram_embedder) {
   RecordRep rep;
   rep.seq = SerializedTokens(record);
-  rep.unique_seq = text::UniqueTokens(rep.seq);
   std::vector<uint64_t> hashes;
   for (const std::string& value : record.values) {
     if (text::IsMissing(value)) continue;
@@ -128,22 +127,23 @@ ml::Vector PairFeatures(const RecordRep& u, const RecordRep& v) {
       align_vu,
       std::min(align_uv, align_vu),
       text::CosineSimilarity(u.gram_embed, v.gram_embed),
-      text::JaccardOfUnique(u.unique_seq, v.unique_seq),
+      text::JaccardOfUnique(text::UniqueTokens(u.seq),
+                            text::UniqueTokens(v.seq)),
       NumericAgreement(u.seq, v.seq),
   };
 }
 
-// --- batch-local memoization -------------------------------------------
+// --- batch-wide memoization --------------------------------------------
 //
 // SoftAlignment is the model's cost center: O(|u|·|v|) Jaro-Winkler
 // calls per pair. Within one ScoreBatch the same records (and the same
 // tokens) recur constantly — a lattice level perturbs one record's
-// attributes, every pair shares the pivot side — so FeaturesBatch
-// interns the batch's tokens once and memoizes every distinct
-// Jaro-Winkler evaluation. Identical token strings get identical ids,
-// and the memo stores the exact double JaroWinklerSimilarity returned,
-// so the features are bit-identical to the uninterned per-pair path
-// (which Features() keeps using).
+// attributes, every pair shares the pivot side — so the batch interns
+// its tokens once and memoizes every distinct Jaro-Winkler evaluation.
+// Identical token strings get identical ids, and the memo stores the
+// exact double JaroWinklerSimilarity returned, so the features are
+// bit-identical to the uninterned per-pair path (which Features() keeps
+// using).
 
 /// Distinct tokens of one batch: id -> string/marker-flag/parsed-number.
 struct TokenTable {
@@ -168,144 +168,201 @@ struct TokenTable {
   size_t size() const { return token.size(); }
 };
 
-/// Directional (a, b) -> JaroWinklerSimilarity(a, b) memo: a dense
-/// matrix while the batch vocabulary is small, a hash map beyond that.
-class JaroWinklerMemo {
+/// Dense memo tables are shared by every pass-2 task through idempotent
+/// slots: a slot starts below zero, and every writer stores the same
+/// double (the deterministic value it memoizes), so relaxed atomic
+/// loads and stores suffice and a race only repeats one evaluation.
+template <typename Compute>
+double MemoSlot(double* slot, Compute compute) {
+  std::atomic_ref<double> ref(*slot);
+  double value = ref.load(std::memory_order_relaxed);
+  if (value < 0.0) {
+    value = compute();
+    ref.store(value, std::memory_order_relaxed);
+  }
+  return value;
+}
+
+/// Sparse fallback key for a (token id, token id | rep index) entry.
+uint64_t MemoKey(int a, size_t b) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+         static_cast<uint32_t>(b);
+}
+
+/// Distinct records of one batch, their interned token sequences, and
+/// the batch-wide memos: (a, b) -> JaroWinklerSimilarity(a, b), and
+/// (token id, rep index) -> the best Jaro-Winkler of that token against
+/// the rep's non-marker tokens. In the engine's hot batches most pairs
+/// share one side (every lattice cell pairs a perturbation with the same
+/// pivot record), so the inner loop of SoftAlignment re-runs over the
+/// same sequence for every pair; caching its result per (token,
+/// sequence) collapses alignment to one add per token after the first
+/// pair. Each memo is a dense matrix while it fits its limit; above it,
+/// every pass-2 task keeps its own hash map.
+class DittoBatch final : public FeatureMatcher::Batch {
  public:
-  explicit JaroWinklerMemo(size_t vocab) : vocab_(vocab) {
-    if (vocab_ <= kDenseLimit) dense_.assign(vocab_ * vocab_, -1.0);
+  DittoBatch(size_t records, const text::HashingVectorizer& ngram_embedder)
+      : ngram_embedder_(ngram_embedder),
+        reps_(records),
+        ids_(records),
+        unique_ids_(records) {}
+
+  void AddRecord(size_t slot, const data::Record& record) override {
+    reps_[slot] = MakeRep(record, ngram_embedder_);
   }
 
-  double Get(const TokenTable& table, int a, int b) {
-    if (!dense_.empty()) {
-      double& slot = dense_[static_cast<size_t>(a) * vocab_ +
-                            static_cast<size_t>(b)];
-      if (slot < 0.0) {
-        slot = text::JaroWinklerSimilarity(*table.token[a], *table.token[b]);
+  void Seal() override {
+    for (size_t r = 0; r < reps_.size(); ++r) {
+      std::vector<int>& ids = ids_[r];
+      ids.reserve(reps_[r].seq.size());
+      for (const std::string& token : reps_[r].seq) {
+        ids.push_back(table_.Intern(token));
       }
-      return slot;
+      // Sorted unique ids stand in for the sorted unique token strings:
+      // same distinct elements, so the same Jaccard cardinalities.
+      std::vector<uint64_t>& unique_ids = unique_ids_[r];
+      unique_ids.assign(ids.begin(), ids.end());
+      std::sort(unique_ids.begin(), unique_ids.end());
+      unique_ids.erase(std::unique(unique_ids.begin(), unique_ids.end()),
+                       unique_ids.end());
     }
-    uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-                   static_cast<uint32_t>(b);
-    auto [it, inserted] = sparse_.try_emplace(key, 0.0);
-    if (inserted) {
-      it->second =
-          text::JaroWinklerSimilarity(*table.token[a], *table.token[b]);
+    const size_t vocab = table_.size();
+    if (vocab <= kJaroWinklerDenseLimit) {
+      jaro_winkler_.assign(vocab * vocab, -1.0);
     }
+    if (vocab * reps_.size() <= kBestMatchDenseLimit) {
+      best_match_.assign(vocab * reps_.size(), -1.0);
+    }
+  }
+
+  void PairFeatures(std::span<const FeatureMatcher::SlotPair> pairs,
+                    std::span<ml::Vector> rows) override {
+    TaskMemo memo;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const size_t left = pairs[i].left;
+      const size_t right = pairs[i].right;
+      const double align_uv = SoftAlignment(left, right, &memo);
+      const double align_vu = SoftAlignment(right, left, &memo);
+      rows[i] = {
+          align_uv,
+          align_vu,
+          std::min(align_uv, align_vu),
+          text::CosineSimilarity(reps_[left].gram_embed,
+                                 reps_[right].gram_embed),
+          JaccardOfUniqueIds(unique_ids_[left], unique_ids_[right]),
+          NumericAgreement(ids_[left], ids_[right]),
+      };
+    }
+  }
+
+ private:
+  static constexpr size_t kJaroWinklerDenseLimit = 1024;  // 8 MiB at most
+  static constexpr size_t kBestMatchDenseLimit = size_t{1} << 22;  // 32 MiB
+
+  /// One pass-2 task's sparse fallbacks.
+  struct TaskMemo {
+    std::unordered_map<uint64_t, double> jaro_winkler;
+    std::unordered_map<uint64_t, double> best_match;
+  };
+
+  double JaroWinkler(int a, int b, TaskMemo* memo) {
+    auto compute = [&] {
+      return text::JaroWinklerSimilarity(*table_.token[a], *table_.token[b]);
+    };
+    if (!jaro_winkler_.empty()) {
+      return MemoSlot(&jaro_winkler_[static_cast<size_t>(a) * table_.size() +
+                                     static_cast<size_t>(b)],
+                      compute);
+    }
+    auto [it, inserted] =
+        memo->jaro_winkler.try_emplace(MemoKey(a, static_cast<size_t>(b)));
+    if (inserted) it->second = compute();
     return it->second;
   }
 
- private:
-  static constexpr size_t kDenseLimit = 1024;  // 8 MiB of doubles at most
-  size_t vocab_;
-  std::vector<double> dense_;
-  std::unordered_map<uint64_t, double> sparse_;
-};
-
-/// (token id, rep index) -> the best Jaro-Winkler of that token against
-/// the rep's non-marker tokens. In the engine's hot batches most pairs
-/// share one side (every lattice cell pairs a perturbation with the
-/// same pivot record), so the inner loop of SoftAlignment re-runs over
-/// the same sequence for every pair; caching its result per (token,
-/// sequence) collapses alignment to one add per token after the first
-/// pair. The cached value is computed by the exact inner loop it
-/// replaces, so features stay bit-identical.
-class BestMatchMemo {
- public:
-  BestMatchMemo(size_t vocab, size_t reps) : vocab_(vocab), reps_(reps) {
-    if (vocab_ * reps_ <= kDenseLimit) dense_.assign(vocab_ * reps_, -1.0);
-  }
-
-  double Get(const TokenTable& table, JaroWinklerMemo* jw, int id_a,
-             size_t rep, const std::vector<int>& rep_ids) {
-    double* slot = nullptr;
-    if (!dense_.empty()) {
-      slot = &dense_[static_cast<size_t>(id_a) * reps_ + rep];
-      if (*slot >= 0.0) return *slot;
-    } else {
-      uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(id_a))
-                      << 32) |
-                     static_cast<uint32_t>(rep);
-      auto [it, inserted] = sparse_.try_emplace(key, -1.0);
-      if (!inserted) return it->second;
-      slot = &it->second;
-    }
-    // The original SoftAlignment inner loop, verbatim.
-    double best = 0.0;
-    for (int id_b : rep_ids) {
-      if (table.marker[id_b]) continue;
-      if (id_a == id_b) {
-        best = 1.0;
-        break;
+  /// The original SoftAlignment inner loop, verbatim, over ids.
+  double BestMatch(int id_a, size_t rep, TaskMemo* memo) {
+    auto compute = [&] {
+      double best = 0.0;
+      for (int id_b : ids_[rep]) {
+        if (table_.marker[id_b]) continue;
+        if (id_a == id_b) {
+          best = 1.0;
+          break;
+        }
+        best = std::max(best, JaroWinkler(id_a, id_b, memo));
       }
-      best = std::max(best, jw->Get(table, id_a, id_b));
+      return best;
+    };
+    if (!best_match_.empty()) {
+      return MemoSlot(
+          &best_match_[static_cast<size_t>(id_a) * reps_.size() + rep],
+          compute);
     }
-    *slot = best;
-    return best;
+    auto [it, inserted] = memo->best_match.try_emplace(MemoKey(id_a, rep));
+    if (inserted) it->second = compute();
+    return it->second;
   }
 
- private:
-  static constexpr size_t kDenseLimit = size_t{1} << 22;  // 32 MiB cap
-  size_t vocab_;
-  size_t reps_;
-  std::vector<double> dense_;
-  std::unordered_map<uint64_t, double> sparse_;
-};
-
-/// SoftAlignment over interned sequences: same per-token best-match
-/// semantics (exact id match short-circuits to 1.0), with the inner
-/// loop served from the per-(token, rep) memo.
-double SoftAlignmentInterned(const std::vector<int>& a, size_t rep_b,
-                             const std::vector<int>& b,
-                             const TokenTable& table, JaroWinklerMemo* jw,
-                             BestMatchMemo* best_memo) {
-  if (a.empty() || b.empty()) return 0.0;
-  double total = 0.0;
-  int counted = 0;
-  for (int id_a : a) {
-    if (table.marker[id_a]) continue;
-    total += best_memo->Get(table, jw, id_a, rep_b, b);
-    ++counted;
+  /// SoftAlignment of rep `a` against rep `b`: same per-token best-match
+  /// semantics (exact id match short-circuits to 1.0), with the inner
+  /// loop served from the (token, rep) memo.
+  double SoftAlignment(size_t a, size_t b, TaskMemo* memo) {
+    if (ids_[a].empty() || ids_[b].empty()) return 0.0;
+    double total = 0.0;
+    int counted = 0;
+    for (int id_a : ids_[a]) {
+      if (table_.marker[id_a]) continue;
+      total += BestMatch(id_a, b, memo);
+      ++counted;
+    }
+    return counted > 0 ? total / counted : 0.0;
   }
-  return counted > 0 ? total / counted : 0.0;
-}
 
-/// JaccardOfUnique over interned sequences: distinct ids correspond
-/// one-to-one with distinct token strings, so the intersection and
-/// union cardinalities — and therefore the coefficient — are identical
-/// to the sorted-unique-string computation in text/similarity.cc.
-double JaccardOfUniqueIds(const std::vector<uint64_t>& a,
-                          const std::vector<uint64_t>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  size_t intersection =
-      text::simd::SortedIntersectionCount(a.data(), a.size(), b.data(),
-                                          b.size());
-  size_t union_size = a.size() + b.size() - intersection;
-  if (union_size == 0) return 1.0;
-  return static_cast<double>(intersection) / static_cast<double>(union_size);
-}
+  /// JaccardOfUnique over interned sequences: distinct ids correspond
+  /// one-to-one with distinct token strings, so the intersection and
+  /// union cardinalities — and therefore the coefficient — are
+  /// identical to the sorted-unique-string computation.
+  static double JaccardOfUniqueIds(const std::vector<uint64_t>& a,
+                                   const std::vector<uint64_t>& b) {
+    if (a.empty() && b.empty()) return 1.0;
+    size_t intersection = text::simd::SortedIntersectionCount(
+        a.data(), a.size(), b.data(), b.size());
+    size_t union_size = a.size() + b.size() - intersection;
+    if (union_size == 0) return 1.0;
+    return static_cast<double>(intersection) /
+           static_cast<double>(union_size);
+  }
 
-/// NumericAgreement over interned sequences with the per-token parse
-/// done once at interning time.
-double NumericAgreementInterned(const std::vector<int>& a,
-                                const std::vector<int>& b,
-                                const TokenTable& table) {
-  int numeric = 0;
-  int agreed = 0;
-  for (int id_a : a) {
-    if (!table.numeric_ok[id_a]) continue;
-    ++numeric;
-    for (int id_b : b) {
-      if (table.numeric_ok[id_b] &&
-          text::NumericSimilarity(table.numeric_val[id_a],
-                                  table.numeric_val[id_b]) > 0.98) {
-        ++agreed;
-        break;
+  /// NumericAgreement over interned sequences, with the per-token parse
+  /// done once at interning time.
+  double NumericAgreement(const std::vector<int>& a,
+                          const std::vector<int>& b) const {
+    int numeric = 0;
+    int agreed = 0;
+    for (int id_a : a) {
+      if (!table_.numeric_ok[id_a]) continue;
+      ++numeric;
+      for (int id_b : b) {
+        if (table_.numeric_ok[id_b] &&
+            text::NumericSimilarity(table_.numeric_val[id_a],
+                                    table_.numeric_val[id_b]) > 0.98) {
+          ++agreed;
+          break;
+        }
       }
     }
+    return numeric > 0 ? static_cast<double>(agreed) / numeric : 0.5;
   }
-  return numeric > 0 ? static_cast<double>(agreed) / numeric : 0.5;
-}
+
+  const text::HashingVectorizer& ngram_embedder_;
+  std::vector<RecordRep> reps_;
+  TokenTable table_;
+  std::vector<std::vector<int>> ids_;
+  std::vector<std::vector<uint64_t>> unique_ids_;
+  std::vector<double> jaro_winkler_;
+  std::vector<double> best_match_;
+};
 
 }  // namespace
 
@@ -333,69 +390,9 @@ ml::Vector DittoModel::Features(const data::Record& u,
                       MakeRep(v, ngram_embedder_));
 }
 
-std::vector<ml::Vector> DittoModel::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
-  // Pass 1: one rep per distinct record (by address), tokens interned
-  // into the batch table as each rep is built.
-  std::vector<RecordRep> reps;
-  std::vector<std::vector<int>> rep_ids;
-  std::vector<std::vector<uint64_t>> rep_unique_ids;
-  TokenTable table;
-  std::unordered_map<const data::Record*, size_t> rep_index;
-  auto rep_of = [&](const data::Record* record) {
-    auto [it, inserted] = rep_index.try_emplace(record, reps.size());
-    if (inserted) {
-      reps.push_back(MakeRep(*record, ngram_embedder_));
-      std::vector<int> ids;
-      ids.reserve(reps.back().seq.size());
-      for (const std::string& token : reps.back().seq) {
-        ids.push_back(table.Intern(token));
-      }
-      // Sorted unique ids stand in for the sorted unique token strings:
-      // same distinct elements, so the same Jaccard cardinalities.
-      std::vector<uint64_t> unique_ids(ids.begin(), ids.end());
-      std::sort(unique_ids.begin(), unique_ids.end());
-      unique_ids.erase(std::unique(unique_ids.begin(), unique_ids.end()),
-                       unique_ids.end());
-      rep_ids.push_back(std::move(ids));
-      rep_unique_ids.push_back(std::move(unique_ids));
-    }
-    return it->second;
-  };
-  std::vector<std::pair<size_t, size_t>> pair_reps;
-  pair_reps.reserve(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    size_t left = rep_of(pair.left);
-    size_t right = rep_of(pair.right);
-    pair_reps.emplace_back(left, right);
-  }
-
-  // Pass 2: features through the batch-wide Jaro-Winkler memo — every
-  // distinct (token, token) evaluation is paid once per batch instead
-  // of once per pair. Values are bit-identical to PairFeatures.
-  JaroWinklerMemo memo(table.size());
-  BestMatchMemo best_memo(table.size(), reps.size());
-  std::vector<ml::Vector> rows;
-  rows.reserve(pairs.size());
-  for (const auto& [left, right] : pair_reps) {
-    const RecordRep& u = reps[left];
-    const RecordRep& v = reps[right];
-    const std::vector<int>& u_ids = rep_ids[left];
-    const std::vector<int>& v_ids = rep_ids[right];
-    double align_uv =
-        SoftAlignmentInterned(u_ids, right, v_ids, table, &memo, &best_memo);
-    double align_vu =
-        SoftAlignmentInterned(v_ids, left, u_ids, table, &memo, &best_memo);
-    rows.push_back({
-        align_uv,
-        align_vu,
-        std::min(align_uv, align_vu),
-        text::CosineSimilarity(u.gram_embed, v.gram_embed),
-        JaccardOfUniqueIds(rep_unique_ids[left], rep_unique_ids[right]),
-        NumericAgreementInterned(u_ids, v_ids, table),
-    });
-  }
-  return rows;
+std::unique_ptr<FeatureMatcher::Batch> DittoModel::NewBatch(
+    size_t records) const {
+  return std::make_unique<DittoBatch>(records, ngram_embedder_);
 }
 
 }  // namespace certa::models

@@ -32,10 +32,11 @@ class DittoModel : public FeatureMatcher {
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
 
-  /// Shares serialization + the n-gram embedding across pairs that
-  /// repeat a record. Bit-identical to per-pair Features.
-  std::vector<ml::Vector> FeaturesBatch(
-      std::span<const RecordPair> pairs) const override;
+  /// Builds serialization + the n-gram embedding once per distinct
+  /// record of a batch, interns the batch's tokens, and shares
+  /// batch-wide Jaro-Winkler memos across the pass-2 tasks.
+  /// Bit-identical to per-pair Features.
+  std::unique_ptr<Batch> NewBatch(size_t records) const override;
 
  private:
   text::HashingVectorizer ngram_embedder_;

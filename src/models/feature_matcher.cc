@@ -1,6 +1,10 @@
 #include "models/feature_matcher.h"
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace certa::models {
 
@@ -54,21 +58,8 @@ double FeatureMatcher::Score(const data::Record& u,
   return 0.0;
 }
 
-std::vector<ml::Vector> FeatureMatcher::FeaturesBatch(
-    std::span<const RecordPair> pairs) const {
-  std::vector<ml::Vector> rows;
-  rows.reserve(pairs.size());
-  for (const RecordPair& pair : pairs) {
-    rows.push_back(Features(*pair.left, *pair.right));
-  }
-  return rows;
-}
-
-std::vector<double> FeatureMatcher::ScoreBatch(
-    std::span<const RecordPair> pairs) const {
-  CERTA_CHECK(fitted_);
-  std::vector<ml::Vector> rows = FeaturesBatch(pairs);
-  for (ml::Vector& row : rows) scaler_.TransformInPlace(&row);
+std::vector<double> FeatureMatcher::PredictScaled(
+    const std::vector<ml::Vector>& rows) const {
   switch (head_) {
     case Head::kLogistic:
       return logistic_.PredictProbabilityBatch(rows);
@@ -77,7 +68,44 @@ std::vector<double> FeatureMatcher::ScoreBatch(
     case Head::kSvm:
       return svm_.PredictProbabilityBatch(rows);
   }
-  return std::vector<double>(pairs.size(), 0.0);
+  return std::vector<double>(rows.size(), 0.0);
+}
+
+std::vector<double> FeatureMatcher::ScoreBatch(
+    std::span<const RecordPair> pairs) const {
+  CERTA_CHECK(fitted_);
+  // Distinct records in first-seen order; each pair as two slots.
+  std::vector<const data::Record*> records;
+  std::vector<SlotPair> slots(pairs.size());
+  std::unordered_map<const data::Record*, size_t> slot_of;
+  auto slot = [&](const data::Record* record) {
+    auto [it, inserted] = slot_of.try_emplace(record, records.size());
+    if (inserted) records.push_back(record);
+    return it->second;
+  };
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    slots[i] = {slot(pairs[i].left), slot(pairs[i].right)};
+  }
+  std::unique_ptr<Batch> batch = NewBatch(records.size());
+
+  // Pass 1: one representation per distinct record.
+  util::LentParallelFor(records.size(), [&](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) batch->AddRecord(r, *records[r]);
+  });
+  batch->Seal();
+
+  // Pass 2: features, scaler and head per pair, in one round.
+  std::vector<double> scores(pairs.size(), 0.0);
+  util::LentParallelFor(pairs.size(), [&](size_t begin, size_t end) {
+    std::vector<ml::Vector> rows(end - begin);
+    batch->PairFeatures(
+        std::span<const SlotPair>(slots).subspan(begin, end - begin), rows);
+    for (ml::Vector& row : rows) scaler_.TransformInPlace(&row);
+    std::vector<double> range_scores = PredictScaled(rows);
+    std::copy(range_scores.begin(), range_scores.end(),
+              scores.begin() + static_cast<ptrdiff_t>(begin));
+  });
+  return scores;
 }
 
 void FeatureMatcher::SaveParameters(TextArchive* archive) const {

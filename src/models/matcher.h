@@ -24,7 +24,8 @@ struct RecordPair {
 /// Implementations must be deterministic and side-effect free per call:
 /// explainers issue thousands of perturbed-pair calls per explanation.
 /// Score and ScoreBatch must be safe to call concurrently from multiple
-/// threads (the scoring engine fans batches out over a thread pool).
+/// threads: ScoreBatch may fan its pairs out over the pool the scoring
+/// engine lends to the calling thread.
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -35,19 +36,14 @@ class Matcher {
                        const data::Record& v) const = 0;
 
   /// Scores a batch of pairs; result[i] == Score(*pairs[i].left,
-  /// *pairs[i].right) bit-for-bit. The default loops over Score;
-  /// implementations override it to amortize per-call setup
-  /// (featurization, vectorization, head forward passes) across the
-  /// batch without changing any individual score.
+  /// *pairs[i].right) bit-for-bit. The default calls Score per pair,
+  /// spread over the pool lent to the calling thread when there is one
+  /// (util::LentParallelFor); a Score that throws fails the batch with
+  /// the exception of the lowest failing range. Implementations override
+  /// it to amortize per-call setup (featurization, vectorization, head
+  /// forward passes) across the batch without changing any score.
   virtual std::vector<double> ScoreBatch(
-      std::span<const RecordPair> pairs) const {
-    std::vector<double> scores;
-    scores.reserve(pairs.size());
-    for (const RecordPair& pair : pairs) {
-      scores.push_back(Score(*pair.left, *pair.right));
-    }
-    return scores;
-  }
+      std::span<const RecordPair> pairs) const;
 
   /// Hard decision at the 0.5 threshold.
   bool Predict(const data::Record& u, const data::Record& v) const {

@@ -102,8 +102,9 @@ class FaultInjectingMatcher : public Matcher {
                         util::Clock* clock = nullptr);
 
   /// Scores the pair, or throws per the fault plan. The inherited
-  /// ScoreBatch loops over Score, so the first faulty pair aborts the
-  /// whole batch — exactly like a batch RPC failing mid-flight.
+  /// ScoreBatch calls Score per pair (spread over the lent pool, when
+  /// there is one), so a faulty pair fails the whole batch — exactly
+  /// like a batch RPC failing mid-flight.
   double Score(const data::Record& u, const data::Record& v) const override;
 
   /// Keeps the base name so explanations are invariant to injection.
@@ -251,7 +252,7 @@ class ResilientMatcher : public Matcher {
 
 /// Fault-tolerant batch scoring over any Matcher. When `model` is a
 /// ScoringEngine, delegates to its TryScoreBatch (shared cache, pooled
-/// fan-out, chunk-level fallback); otherwise scores pair by pair,
+/// fan-out, batch-level fallback); otherwise scores pair by pair,
 /// catching ScoringError per pair. Either way failed pairs come back
 /// with ok[i] == 0 instead of an exception, and a BudgetExhausted sets
 /// the outcome flag and fails the remaining pairs without further

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 
 #include "models/resilience.h"
 #include "util/logging.h"
@@ -10,15 +9,24 @@
 namespace certa::models {
 namespace {
 
+/// One FNV-1a step over a whole length word: a frame marker, not
+/// content, so it needs no byte-wise mixing (and HashPair runs for
+/// every pair the engine sees).
+void MixLength(size_t length, uint64_t* hash) {
+  *hash ^= static_cast<uint64_t>(length);
+  *hash *= 0x100000001b3ULL;
+}
+
 /// FNV-1a over a string with a per-stream basis, finished by the
-/// caller; value separators keep ("ab","c") distinct from ("a","bc").
+/// caller. The length prefix frames the value, so no byte inside it
+/// (0x1f included) can move a boundary: ("ab","c") and ("a","bc") and
+/// ("a\x1fb") against ("a","b") all hash apart.
 void MixValue(const std::string& value, uint64_t* hash) {
+  MixLength(value.size(), hash);
   for (char c : value) {
     *hash ^= static_cast<unsigned char>(c);
     *hash *= 0x100000001b3ULL;
   }
-  *hash ^= 0x1f;
-  *hash *= 0x100000001b3ULL;
 }
 
 uint64_t Avalanche(uint64_t hash) {
@@ -33,9 +41,9 @@ uint64_t Avalanche(uint64_t hash) {
 uint64_t HashSide(const data::Record& u, const data::Record& v,
                   uint64_t basis) {
   uint64_t hash = basis;
+  MixLength(u.values.size(), &hash);
   for (const std::string& value : u.values) MixValue(value, &hash);
-  hash ^= 0x1e;
-  hash *= 0x100000001b3ULL;
+  MixLength(v.values.size(), &hash);
   for (const std::string& value : v.values) MixValue(value, &hash);
   return Avalanche(hash);
 }
@@ -228,7 +236,6 @@ ScoringEngine::ScoringEngine(const Matcher* base, Options options)
     metric_.batch_latency_us =
         reg.histogram("scoring.batch.latency_us", obs::LatencyBuckets());
     metric_.batches = reg.counter("scoring.batches");
-    metric_.pool_chunks = reg.counter("scoring.pool.chunks");
     metric_.scores_computed = reg.counter("scoring.scores.computed");
     metric_.cache_contended = reg.counter("scoring.cache.contended_batches");
     cache_.BindMetrics(reg.counter("scoring.cache.hits"),
@@ -307,35 +314,8 @@ double ScoringEngine::Score(const data::Record& u,
 std::vector<double> ScoringEngine::ScoreMisses(
     const std::vector<RecordPair>& pairs) const {
   if (pairs.empty()) return {};
-  util::ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->size() < 2 ||
-      pairs.size() < options_.min_parallel_batch) {
-    return base_->ScoreBatch(pairs);
-  }
-  const size_t chunk = std::max<size_t>(1, options_.parallel_chunk);
-  const size_t num_chunks = (pairs.size() + chunk - 1) / chunk;
-  if (metric_.pool_chunks != nullptr) {
-    metric_.pool_chunks->Add(static_cast<long long>(num_chunks));
-  }
-  std::vector<double> scores(pairs.size(), 0.0);
-  // ParallelFor tasks must not throw (a worker has nowhere to put the
-  // exception): capture the first one and rethrow on the calling
-  // thread, after every chunk has finished.
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  pool->ParallelFor(pairs.size(), chunk, [&](size_t begin, size_t end) {
-    try {
-      std::span<const RecordPair> slice(pairs.data() + begin, end - begin);
-      std::vector<double> chunk_scores = base_->ScoreBatch(slice);
-      std::copy(chunk_scores.begin(), chunk_scores.end(),
-                scores.begin() + static_cast<ptrdiff_t>(begin));
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-    }
-  });
-  if (error) std::rethrow_exception(error);
-  return scores;
+  util::ThreadPool::Lend lend(options_.pool);
+  return base_->ScoreBatch(pairs);
 }
 
 void ScoringEngine::TryScoreMisses(const std::vector<RecordPair>& pairs,
@@ -344,63 +324,31 @@ void ScoringEngine::TryScoreMisses(const std::vector<RecordPair>& pairs,
                                    bool* budget_exhausted) const {
   scores->assign(pairs.size(), 0.0);
   ok->assign(pairs.size(), 0);
+  *budget_exhausted = false;
   if (pairs.empty()) return;
-  std::atomic<bool> exhausted{false};
-
-  // Scores [begin, end) with per-pair fault isolation: one batched base
-  // call first, then pair-by-pair for the chunk the error poisoned.
-  auto score_range = [&](size_t begin, size_t end) {
-    std::span<const RecordPair> slice(pairs.data() + begin, end - begin);
-    try {
-      std::vector<double> chunk_scores = base_->ScoreBatch(slice);
-      for (size_t i = 0; i < chunk_scores.size(); ++i) {
-        (*scores)[begin + i] = chunk_scores[i];
-        (*ok)[begin + i] = 1;
-      }
-      return;
-    } catch (const BudgetExhausted&) {
-      // The batch was rejected (it no longer fits the budget); the
-      // per-pair loop below salvages what the remaining budget covers.
-      exhausted.store(true, std::memory_order_relaxed);
-    } catch (const ScoringError&) {
-      // Fall through to per-pair isolation.
-    }
-    for (size_t i = begin; i < end; ++i) {
-      try {
-        (*scores)[i] = base_->Score(*pairs[i].left, *pairs[i].right);
-        (*ok)[i] = 1;
-      } catch (const BudgetExhausted&) {
-        exhausted.store(true, std::memory_order_relaxed);
-        return;
-      } catch (const ScoringError&) {
-        // This pair stays failed; keep scoring the rest.
-      }
-    }
-  };
-
-  util::ThreadPool* pool = options_.pool;
-  if (pool == nullptr || pool->size() < 2 ||
-      pairs.size() < options_.min_parallel_batch) {
-    score_range(0, pairs.size());
-  } else {
-    const size_t chunk = std::max<size_t>(1, options_.parallel_chunk);
-    const size_t num_chunks = (pairs.size() + chunk - 1) / chunk;
-    if (metric_.pool_chunks != nullptr) {
-      metric_.pool_chunks->Add(static_cast<long long>(num_chunks));
-    }
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    pool->ParallelFor(pairs.size(), chunk, [&](size_t begin, size_t end) {
-      try {
-        score_range(begin, end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-    if (error) std::rethrow_exception(error);
+  // One batched base call first, then pair by pair when it failed.
+  try {
+    *scores = ScoreMisses(pairs);
+    ok->assign(pairs.size(), 1);
+    return;
+  } catch (const BudgetExhausted&) {
+    // The batch was rejected (it no longer fits the budget); the
+    // per-pair loop below salvages what the remaining budget covers.
+    *budget_exhausted = true;
+  } catch (const ScoringError&) {
+    // Fall through to per-pair isolation.
   }
-  *budget_exhausted = exhausted.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    try {
+      (*scores)[i] = base_->Score(*pairs[i].left, *pairs[i].right);
+      (*ok)[i] = 1;
+    } catch (const BudgetExhausted&) {
+      *budget_exhausted = true;
+      return;
+    } catch (const ScoringError&) {
+      // This pair stays failed; keep scoring the rest.
+    }
+  }
 }
 
 namespace {

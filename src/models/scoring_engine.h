@@ -30,8 +30,9 @@ struct PairKey {
   }
 };
 
-/// Hashes the pair's attribute values, with a separator byte after each
-/// value and between the two sides.
+/// Hashes the pair's attribute values. Each side and each value is
+/// length-prefixed, so values cannot slide across a boundary and alias
+/// another pair, whatever bytes they contain.
 PairKey HashPair(const data::Record& u, const data::Record& v);
 
 /// Hash functor for PairKey-keyed maps (cache shards, batch dedupe,
@@ -198,16 +199,17 @@ class PredictionCache {
 ///
 ///   - Score(u, v): cache probe, then one base-model call on a miss.
 ///   - ScoreBatch(pairs): dedupes identical pairs within the batch,
-///     probes the cache for each unique pair, scores the misses through
-///     the base model's ScoreBatch (split over the thread pool when one
-///     is attached), then inserts the new scores.
+///     probes the cache for each unique pair, scores all the misses in
+///     one base-model ScoreBatch call (lending the thread pool to it
+///     when one is attached), then inserts the new scores.
 ///
 /// Every returned score is bit-identical to base->Score(u, v): the
 /// cache only ever stores values the deterministic base model produced,
 /// and batching/pooling never changes the arithmetic of an individual
 /// pair. Cache probes and insertions happen on the calling thread in
 /// pair order, so hit/miss/eviction counters are deterministic too (for
-/// a single-threaded caller); only the miss *computation* fans out.
+/// a single-threaded caller); only the model's miss computation fans
+/// out, inside its one call.
 class ScoringEngine : public Matcher {
  public:
   /// Durability hook: invoked once per freshly *computed* score (cache
@@ -223,17 +225,11 @@ class ScoringEngine : public Matcher {
     bool enable_cache = true;
     size_t cache_shards = 16;
     size_t max_cache_entries_per_shard = 1 << 16;
-    /// Not owned; nullptr scores misses inline on the calling thread.
+    /// Not owned; lent to the calling thread (util::ThreadPool::Lend)
+    /// around each batch's one base-model call, so the model spreads
+    /// its own per-record and per-pair work over it. nullptr scores
+    /// every batch inline on the calling thread.
     util::ThreadPool* pool = nullptr;
-    /// Batches smaller than this skip the pool (dispatch overhead would
-    /// dominate the scoring work).
-    size_t min_parallel_batch = 8;
-    /// Pairs per pool task when fanning a batch out. Deliberately
-    /// independent of the worker count: chunk boundaries fix the base
-    /// model's ScoreBatch slices (and hence its batch-local
-    /// memoization reuse), so the total work is identical at any thread
-    /// count — threads only change who runs a chunk.
-    size_t parallel_chunk = 32;
     /// Optional journal hook; empty = no observation overhead.
     ScoreObserver observer;
     /// Durable read-through hooks (src/persist's ScoreStore binds
@@ -286,8 +282,8 @@ class ScoringEngine : public Matcher {
   std::string name() const override { return base_->name(); }
 
   /// Like ScoreBatch, but a ScoringError thrown by the base model fails
-  /// only the pairs it covered instead of the whole call: the failed
-  /// chunk is re-scored pair by pair, surviving pairs keep their
+  /// only the pairs it covered instead of the whole call: the batch's
+  /// misses are re-scored pair by pair, surviving pairs keep their
   /// scores, and only successful scores enter the prediction cache.
   /// Errors other than ScoringError still propagate.
   BatchOutcome TryScoreBatch(std::span<const RecordPair> pairs) const;
@@ -303,15 +299,14 @@ class ScoringEngine : public Matcher {
   const Matcher* base() const { return base_; }
 
  private:
-  /// Scores `pairs` through the base model, fanning chunks out over the
-  /// pool when the batch is large enough. Results are ordered by input
-  /// index regardless of which worker scored them. A ScoringError (or
-  /// any other exception) from a pooled chunk is captured on the worker
-  /// and rethrown here — never propagated through the pool.
+  /// Scores `pairs` in one base-model ScoreBatch call with the engine's
+  /// pool lent to it. Exceptions propagate.
   std::vector<double> ScoreMisses(const std::vector<RecordPair>& pairs) const;
 
   /// Fault-tolerant variant: per-pair ok flags instead of exceptions
-  /// for ScoringError failures.
+  /// for ScoringError failures. The one batched call is checked against
+  /// a call budget once, whatever the thread count; when it fails, the
+  /// pairs are scored one by one on the calling thread.
   void TryScoreMisses(const std::vector<RecordPair>& pairs,
                       std::vector<double>* scores, std::vector<uint8_t>* ok,
                       bool* budget_exhausted) const;
@@ -322,7 +317,6 @@ class ScoringEngine : public Matcher {
     obs::Histogram* batch_size = nullptr;
     obs::Histogram* batch_latency_us = nullptr;
     obs::Counter* batches = nullptr;
-    obs::Counter* pool_chunks = nullptr;
     obs::Counter* scores_computed = nullptr;
     /// Batches that found the view taken by a concurrent producer and
     /// fell back to the locked per-lookup path (shard contention

@@ -23,6 +23,11 @@ class SvmModel : public FeatureMatcher {
  protected:
   ml::Vector Features(const data::Record& u,
                       const data::Record& v) const override;
+
+  /// Tokenizes and shingles each attribute value once per distinct
+  /// record of a batch, and reuses the Jaccard and trigram values for
+  /// the attribute similarity. Bit-identical to per-pair Features.
+  std::unique_ptr<Batch> NewBatch(size_t records) const override;
 };
 
 }  // namespace certa::models

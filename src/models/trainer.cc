@@ -33,12 +33,13 @@ std::string ModelKindName(ModelKind kind) {
 
 bool ModelKindFromName(const std::string& name, ModelKind* kind) {
   const std::string lowered = ToLowerAscii(name);
-  if (lowered == "deeper") *kind = ModelKind::kDeepEr;
-  else if (lowered == "deepmatcher") *kind = ModelKind::kDeepMatcher;
-  else if (lowered == "ditto") *kind = ModelKind::kDitto;
-  else if (lowered == "svm") *kind = ModelKind::kSvm;
-  else return false;
-  return true;
+  for (const ModelName& entry : kModelNames) {
+    if (entry.name == lowered) {
+      *kind = entry.kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::unique_ptr<Matcher> TrainMatcher(ModelKind kind,

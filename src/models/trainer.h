@@ -8,19 +8,9 @@
 
 #include "data/dataset.h"
 #include "models/matcher.h"
+#include "models/model_kind.h"
 
 namespace certa::models {
-
-/// The three affected models of the paper's evaluation (Sect. 5.1).
-enum class ModelKind {
-  kDeepEr = 0,
-  kDeepMatcher = 1,
-  kDitto = 2,
-  /// Classical linear-SVM matcher (not in the paper's trio; see
-  /// SvmModel). Excluded from AllModelKinds so the reproduction benches
-  /// match the paper's grids, but available through TrainMatcher.
-  kSvm = 3,
-};
 
 /// The paper's three evaluated models, in presentation order.
 const std::vector<ModelKind>& AllModelKinds();
@@ -28,9 +18,8 @@ const std::vector<ModelKind>& AllModelKinds();
 /// Display name matching the paper's tables.
 std::string ModelKindName(ModelKind kind);
 
-/// Parses a model name as requests spell it ("deeper", "deepmatcher",
-/// "ditto", "svm"; case-insensitive). False (and `kind` untouched) for
-/// anything else.
+/// Parses a model name as requests spell it (kModelNames, matched
+/// case-insensitively). False (and `kind` untouched) for anything else.
 bool ModelKindFromName(const std::string& name, ModelKind* kind);
 
 /// The seed TrainMatcher uses unless told otherwise.

@@ -1,8 +1,14 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace certa::util {
+namespace {
+
+thread_local ThreadPool* lent_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   int count = std::max(1, num_threads);
@@ -25,6 +31,14 @@ int ThreadPool::HardwareThreads() {
   unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? static_cast<int>(hardware) : 1;
 }
+
+ThreadPool::Lend::Lend(ThreadPool* pool) : previous_(lent_pool) {
+  lent_pool = pool;
+}
+
+ThreadPool::Lend::~Lend() { lent_pool = previous_; }
+
+ThreadPool* ThreadPool::Current() { return lent_pool; }
 
 void ThreadPool::DrainBatch(std::unique_lock<std::mutex>& lock,
                             const std::shared_ptr<Batch>& batch) {
@@ -97,6 +111,37 @@ void ThreadPool::ParallelFor(
   // when every worker is busy (including nested ParallelFor calls).
   DrainBatch(lock, batch);
   batch->finished.wait(lock, [&] { return batch->done == batch->count; });
+}
+
+void LentParallelFor(size_t count,
+                     const std::function<void(size_t, size_t)>& range_fn) {
+  if (count == 0) return;
+  ThreadPool* pool = ThreadPool::Current();
+  if (pool == nullptr || count < kMinLentParallelCount) {
+    ThreadPool::Lend unlent(nullptr);
+    range_fn(0, count);
+    return;
+  }
+  const size_t ranges = 2 * static_cast<size_t>(pool->size());
+  const size_t grain = (count + ranges - 1) / ranges;
+  // Pool tasks must not throw (a worker has nowhere to put the
+  // exception): keep the lowest failing range's, rethrow it at the end.
+  std::mutex error_mutex;
+  size_t error_begin = count;
+  std::exception_ptr error;
+  pool->ParallelFor(count, grain, [&](size_t begin, size_t end) {
+    ThreadPool::Lend unlent(nullptr);
+    try {
+      range_fn(begin, end);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (begin < error_begin) {
+        error_begin = begin;
+        error = std::current_exception();
+      }
+    }
+  });
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace certa::util

@@ -53,6 +53,28 @@ class ThreadPool {
   /// Sensible default worker count for this machine (>= 1).
   static int HardwareThreads();
 
+  /// Lends `pool` to the calling thread for this object's lifetime, so
+  /// code deeper in the call stack can fan its own work out over it
+  /// without a pool parameter on every interface in between: the
+  /// scoring engine lends its pool around each base-model call, and the
+  /// model's ScoreBatch picks it up through any decorators that call
+  /// their base on the same thread. Scopes nest and restore the outer
+  /// lend on exit; nullptr lends nothing for the scope.
+  class Lend {
+   public:
+    explicit Lend(ThreadPool* pool);
+    ~Lend();
+    Lend(const Lend&) = delete;
+    Lend& operator=(const Lend&) = delete;
+
+   private:
+    ThreadPool* previous_;
+  };
+
+  /// The pool lent to the calling thread, or nullptr. Pool workers start
+  /// with none lent.
+  static ThreadPool* Current();
+
  private:
   /// One ParallelFor invocation: index ranges are claimed `grain` at a
   /// time via `next`, and the batch is complete when `done` reaches
@@ -79,6 +101,26 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Loops shorter than this run inline even when a pool is lent: below
+/// it, waking the workers costs more than the work they would share.
+inline constexpr size_t kMinLentParallelCount = 8;
+
+/// Runs range_fn over a partition of [0, count) into contiguous ranges,
+/// spread over the pool lent to the calling thread (ThreadPool::Lend):
+/// about two ranges per worker, so the split follows the batch size and
+/// the pool size rather than a fixed grain. Runs range_fn(0, count)
+/// inline when no pool is lent or count < kMinLentParallelCount. Inside
+/// a range no pool is lent, on whichever thread runs it, so pooled work
+/// never fans out again.
+///
+/// range_fn may throw. A range stops at its first exception, every other
+/// range still runs to its end, and the exception of the lowest failing
+/// range is rethrown on the calling thread — the same exception an
+/// in-order serial loop would have thrown first, whenever failures
+/// depend only on the index.
+void LentParallelFor(size_t count,
+                     const std::function<void(size_t, size_t)>& range_fn);
 
 }  // namespace certa::util
 

@@ -1,13 +1,16 @@
 // Tests for the batched + cached + pooled scoring layer: ThreadPool
-// scheduling guarantees, PredictionCache accounting, ScoreBatch ≡ Score
-// for every trained model kind, and bit-identical CertaExplainer output
-// at any thread count / cache setting.
+// scheduling and lending guarantees, PredictionCache accounting,
+// ScoreBatch ≡ Score for every trained model kind (pooled lattice-shaped
+// batches included), and bit-identical CertaExplainer output at any
+// thread count / cache setting.
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 
 #include "core/certa_explainer.h"
 #include "data/benchmarks.h"
+#include "models/resilience.h"
 #include "models/scoring_engine.h"
 #include "models/trainer.h"
 #include "obs/metrics.h"
@@ -128,6 +132,81 @@ TEST(ThreadPoolTest, ChunkedGrainZeroAndEmptyAreSafe) {
   EXPECT_EQ(total.load(), 5);
 }
 
+TEST(ThreadPoolTest, LendIsScopedAndNests) {
+  util::ThreadPool outer(2);
+  util::ThreadPool inner(2);
+  EXPECT_EQ(util::ThreadPool::Current(), nullptr);
+  {
+    util::ThreadPool::Lend lend(&outer);
+    EXPECT_EQ(util::ThreadPool::Current(), &outer);
+    {
+      util::ThreadPool::Lend nested(&inner);
+      EXPECT_EQ(util::ThreadPool::Current(), &inner);
+      util::ThreadPool::Lend none(nullptr);
+      EXPECT_EQ(util::ThreadPool::Current(), nullptr);
+    }
+    EXPECT_EQ(util::ThreadPool::Current(), &outer);
+    // Workers start with nothing lent; only the caller's lend is set.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> lent_on_worker{0};
+    outer.ParallelFor(64, [&](size_t) {
+      if (std::this_thread::get_id() != caller &&
+          util::ThreadPool::Current() != nullptr) {
+        ++lent_on_worker;
+      }
+    });
+    EXPECT_EQ(lent_on_worker.load(), 0);
+  }
+  EXPECT_EQ(util::ThreadPool::Current(), nullptr);
+}
+
+TEST(ThreadPoolTest, LentParallelForCoversEveryIndexWithNothingLentInside) {
+  constexpr size_t kCount = 1003;
+  for (int threads : {0, 1, 2, 4, 8}) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    util::ThreadPool::Lend lend(pool.get());
+    std::vector<std::atomic<int>> hits(kCount);
+    std::atomic<int> lent_inside{0};
+    util::LentParallelFor(kCount, [&](size_t begin, size_t end) {
+      if (util::ThreadPool::Current() != nullptr) ++lent_inside;
+      for (size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    for (size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << threads << " threads, index " << i;
+    }
+    EXPECT_EQ(lent_inside.load(), 0);
+    EXPECT_EQ(util::ThreadPool::Current(), pool.get());
+  }
+}
+
+TEST(ThreadPoolTest, LentParallelForRethrowsTheLowestFailingRange) {
+  // Indices 300 and 700 fail; every range still runs to its end or its
+  // own first failure, and the caller sees index 300's exception — the
+  // one an in-order loop would have thrown — at any pool size.
+  constexpr size_t kCount = 1000;
+  for (int threads : {0, 1, 2, 4, 8}) {
+    std::unique_ptr<util::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
+    util::ThreadPool::Lend lend(pool.get());
+    std::atomic<int> ran{0};
+    try {
+      util::LentParallelFor(kCount, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          if (i == 300 || i == 700) {
+            throw std::runtime_error("index " + std::to_string(i));
+          }
+          ++ran;
+        }
+      });
+      FAIL() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "index 300") << threads << " threads";
+    }
+    EXPECT_GE(ran.load(), 300);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // PairKey / PredictionCache
 
@@ -148,6 +227,15 @@ TEST(PairKeyTest, ValueBoundariesAreFramed) {
   data::Record u2 = MakeRecord(0, {"a", "bc"});
   data::Record v = MakeRecord(1, {"x"});
   EXPECT_FALSE(HashPair(u1, v) == HashPair(u2, v));
+  // A value holding the old separator byte must not alias two values.
+  data::Record joined = MakeRecord(0, {"a\x1f" "b"});
+  data::Record split = MakeRecord(0, {"a", "b"});
+  EXPECT_FALSE(HashPair(joined, v) == HashPair(split, v));
+  // Nor may a value move across the boundary between the two sides.
+  data::Record empty = MakeRecord(2, {});
+  data::Record x_and_a = MakeRecord(3, {"x", "a"});
+  data::Record a_only = MakeRecord(4, {"a"});
+  EXPECT_FALSE(HashPair(x_and_a, empty) == HashPair(v, a_only));
 }
 
 TEST(PredictionCacheTest, CountsHitsAndMisses) {
@@ -569,8 +657,6 @@ TEST(ScoringEngineTest, PooledBatchMatchesSerial) {
   ScoringEngine::Options pooled_options;
   pooled_options.pool = &pool;
   pooled_options.enable_cache = false;
-  pooled_options.min_parallel_batch = 2;
-  pooled_options.parallel_chunk = 3;
   ScoringEngine pooled(&base, pooled_options);
   ScoringEngine serial(&base);
 
@@ -611,6 +697,74 @@ TEST_P(ScoreBatchEquivalenceTest, BatchEqualsPerPairScore) {
   EXPECT_EQ(engine.ScoreBatch(pairs), batch);
 }
 
+/// Lattice-shaped batches over `dataset`: each batch pairs one pivot
+/// record (the same address in every pair) with perturbed copies of a
+/// counterpart whose attributes are swapped for other records' values,
+/// so the perturbations share most of their tokens — on both sides.
+struct LatticeBatches {
+  std::vector<data::Record> perturbed;
+  std::vector<std::vector<RecordPair>> batches;
+};
+
+LatticeBatches MakeLatticeBatches(const data::Dataset& dataset) {
+  LatticeBatches out;
+  const int attributes = dataset.left.schema().size();
+  const size_t masks = size_t{1} << std::min(attributes, 6);
+  constexpr size_t kPivots = 3;
+  // Reserve so the perturbed records never move once batches point at
+  // them.
+  out.perturbed.reserve(2 * kPivots * masks);
+  std::vector<std::vector<std::pair<size_t, const data::Record*>>> plans;
+  for (size_t p = 0; p < kPivots && p < dataset.test.size(); ++p) {
+    const data::LabeledPair& pair = dataset.test[p];
+    const data::Record& left = dataset.left.record(pair.left_index);
+    const data::Record& right = dataset.right.record(pair.right_index);
+    const data::Record& donor = dataset.right.record(
+        (pair.right_index + 1) % dataset.right.size());
+    const data::Record& left_donor = dataset.left.record(
+        (pair.left_index + 1) % dataset.left.size());
+    std::vector<RecordPair> batch;
+    for (size_t mask = 0; mask < masks; ++mask) {
+      data::Record copy = right;
+      for (int a = 0; a < attributes; ++a) {
+        if (mask & (size_t{1} << a)) copy.values[a] = donor.values[a];
+      }
+      out.perturbed.push_back(std::move(copy));
+      batch.push_back({&left, &out.perturbed.back()});
+      data::Record left_copy = left;
+      for (int a = 0; a < attributes; ++a) {
+        if (mask & (size_t{1} << a)) left_copy.values[a] = left_donor.values[a];
+      }
+      out.perturbed.push_back(std::move(left_copy));
+      batch.push_back({&out.perturbed.back(), &right});
+    }
+    out.batches.push_back(std::move(batch));
+  }
+  return out;
+}
+
+TEST_P(ScoreBatchEquivalenceTest, PooledLatticeBatchesEqualPerPairScore) {
+  data::Dataset dataset = data::MakeBenchmark("AB");
+  auto model = models::TrainMatcher(GetParam(), dataset);
+  LatticeBatches lattice = MakeLatticeBatches(dataset);
+  ASSERT_FALSE(lattice.batches.empty());
+  for (int threads : {1, 2, 4, 8}) {
+    util::ThreadPool pool(threads);
+    ScoringEngine::Options options;
+    options.pool = &pool;
+    options.enable_cache = false;  // every pair reaches the model
+    ScoringEngine engine(model.get(), options);
+    for (const std::vector<RecordPair>& batch : lattice.batches) {
+      std::vector<double> scores = engine.ScoreBatch(batch);
+      ASSERT_EQ(scores.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_EQ(scores[i], model->Score(*batch[i].left, *batch[i].right))
+            << threads << " threads, pair " << i;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, ScoreBatchEquivalenceTest,
                          ::testing::Values(models::ModelKind::kDeepEr,
                                            models::ModelKind::kDeepMatcher,
@@ -619,6 +773,85 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ScoreBatchEquivalenceTest,
                          [](const auto& info) {
                            return models::ModelKindName(info.param);
                          });
+
+TEST(DittoBatchTest, LargeVocabularyBatchEqualsPerPairScore) {
+  // Over 1024 distinct tokens the batch-wide Jaro-Winkler matrix gives
+  // way to per-task hash maps; the scores must not move.
+  data::Dataset dataset = data::MakeBenchmark("AB");
+  auto model = models::TrainMatcher(models::ModelKind::kDitto, dataset);
+  const int attributes = dataset.left.schema().size();
+  auto word = [](size_t n) {
+    std::string out = "w";
+    for (; n > 0; n /= 26) out.push_back(static_cast<char>('a' + n % 26));
+    return out;
+  };
+  std::vector<data::Record> records;
+  size_t next_word = 1;
+  for (int r = 0; r < 48; ++r) {
+    std::vector<std::string> values;
+    for (int a = 0; a < attributes; ++a) {
+      std::string value;
+      for (int t = 0; t < 12; ++t) {
+        // Every record also shares a few tokens with its neighbour.
+        value += word(t < 2 ? static_cast<size_t>(r / 2 * 2 + t) + 100000
+                            : next_word++);
+        value += ' ';
+      }
+      values.push_back(value);
+    }
+    records.push_back(MakeRecord(r, std::move(values)));
+  }
+  ASSERT_GT(next_word, 1024u);
+  const data::Record& pivot = dataset.right.record(0);
+  std::vector<RecordPair> pairs;
+  for (const data::Record& record : records) {
+    pairs.push_back({&record, &pivot});
+    pairs.push_back({&records.front(), &record});
+  }
+  for (int threads : {1, 4}) {
+    util::ThreadPool pool(threads);
+    util::ThreadPool::Lend lend(&pool);
+    std::vector<double> batch = model->ScoreBatch(pairs);
+    ASSERT_EQ(batch.size(), pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      ASSERT_EQ(batch[i], model->Score(*pairs[i].left, *pairs[i].right))
+          << threads << " threads, pair " << i;
+    }
+  }
+}
+
+TEST(ScoringEngineTest, CallBudgetIsCheckedOncePerBatchAtAnyThreadCount) {
+  // A 64-miss batch against a 40-call budget is rejected whole, then
+  // salvaged pair by pair up to the budget — the same outcome whether
+  // or not the engine lends a pool to the model.
+  FakeMatcher base([](const data::Record& u, const data::Record&) {
+    return static_cast<double>(u.values[0].size()) / 100.0;
+  });
+  std::vector<data::Record> lefts;
+  for (int i = 0; i < 64; ++i) {
+    lefts.push_back(MakeRecord(i, {std::string(static_cast<size_t>(i), 'x')}));
+  }
+  data::Record right = MakeRecord(1000, {"r"});
+  std::vector<RecordPair> pairs;
+  for (const data::Record& left : lefts) pairs.push_back({&left, &right});
+  for (int threads : {1, 4}) {
+    models::ResilienceOptions resilience;
+    resilience.enabled = true;
+    resilience.max_model_calls = 40;
+    models::ResilientMatcher budgeted(&base, resilience);
+    util::ThreadPool pool(threads);
+    ScoringEngine::Options options;
+    options.pool = &pool;
+    ScoringEngine engine(&budgeted, options);
+    ScoringEngine::BatchOutcome outcome = engine.TryScoreBatch(pairs);
+    EXPECT_TRUE(outcome.budget_exhausted) << threads << " threads";
+    EXPECT_EQ(outcome.failures, 24u) << threads << " threads";
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(outcome.ok[i], i < 40 ? 1 : 0) << threads << " threads " << i;
+    }
+    EXPECT_EQ(budgeted.stats().calls, 40) << threads << " threads";
+  }
+}
 
 // ---------------------------------------------------------------------------
 // End-to-end determinism: CertaExplainer::Explain must produce the same

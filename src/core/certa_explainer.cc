@@ -83,7 +83,6 @@ CertaResult CertaExplainer::Explain(const data::Record& u,
   models::ScoringEngine::Options engine_options;
   engine_options.enable_cache = options_.use_cache;
   engine_options.pool = pool_.get();
-  engine_options.observer = options_.score_observer;
   engine_options.store_probe = options_.store_probe;
   engine_options.store_write = options_.store_write;
   engine_options.metrics = options_.metrics;
@@ -106,15 +105,6 @@ CertaResult CertaExplainer::Explain(const data::Record& u,
   models::ScoringEngine engine(scored_model, engine_options);
   explain::ExplainContext engine_context = context_;
   engine_context.model = &engine;
-
-  // Journal replay: seed the cache with every already-paid score. The
-  // prewarmed entries make the resumed run's model calls a subset of
-  // the original's while keeping counters and results bit-identical.
-  if (options_.replayed_scores != nullptr) {
-    for (const auto& [key, score] : *options_.replayed_scores) {
-      engine.Prewarm(key, score);
-    }
-  }
 
   // Observability: one span for the whole run plus one per phase, and
   // explain.phase.<name>.model_calls counters derived from the engine's

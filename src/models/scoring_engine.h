@@ -53,9 +53,10 @@ class PredictionCache {
     long long hits = 0;
     long long misses = 0;
     long long evictions = 0;
-    /// Misses served from the durable score store instead of the base
-    /// model (see ScoringEngine::Options::store_probe). Distinct from
-    /// `hits` — a store-served probe already counted one miss, so
+    /// Misses served by the store_probe hook — the durable score store
+    /// or a resumed job's journal replay — instead of the base model
+    /// (see ScoringEngine::Options::store_probe). Distinct from
+    /// `hits` — a probe-served miss already counted one miss, so
     /// hits + misses still tallies every lookup, and store_hits says
     /// how many of those misses skipped a paid model call anyway.
     long long store_hits = 0;
@@ -77,58 +78,7 @@ class PredictionCache {
                    obs::Counter* store_hits = nullptr,
                    obs::Counter* store_peer_hits = nullptr);
 
-  /// Hot-path instrumentation for the batched View below (both may be
-  /// null): `view_hits` counts lookups served lock-free from a view's
-  /// local table (these also count as ordinary hits), `flush_locks`
-  /// counts shard-mutex acquisitions made by View::Flush — the number
-  /// of times the whole batch touched a shard lock at all, versus one
-  /// lock per lookup/insert on the direct path.
-  void BindViewMetrics(obs::Counter* view_hits, obs::Counter* flush_locks);
-
-  /// Single-writer read-through view for one batch producer: lookups
-  /// are served from a local open-address table when possible (no shard
-  /// mutex), misses fall through to the shards with normal hit/miss
-  /// accounting, and inserts are buffered locally and merged into the
-  /// shards — each shard locked once — at batch boundaries via Flush().
-  ///
-  /// Determinism: for a single-threaded caller, the hit/miss/eviction
-  /// counter stream is identical to using Lookup/Insert directly
-  /// (pending inserts are applied per shard in insertion order, and the
-  /// engine's probe phase precedes its insert phase within a batch
-  /// anyway). The view itself is NOT thread-safe — it is the per-batch
-  /// single-writer arm of the cache; concurrent producers use the
-  /// locked path directly.
-  class View {
-   public:
-    explicit View(PredictionCache* cache) : cache_(cache) {}
-    View(const View&) = delete;
-    View& operator=(const View&) = delete;
-    ~View() { Flush(); }
-
-    /// True (and *score set) on a hit, served locally when possible.
-    bool Lookup(const PairKey& key, double* score);
-
-    /// Buffers the insert; visible to this view immediately and to the
-    /// shards (and hence other threads) after the next Flush.
-    void Insert(const PairKey& key, double score);
-
-    /// Merges every buffered insert into the shards, one lock per
-    /// touched shard, applying the normal eviction policy and counters.
-    void Flush();
-
-   private:
-    void RememberLocal(const PairKey& key, double score);
-
-    PredictionCache* cache_;
-    std::unordered_map<PairKey, double, PairKeyHasher> local_;
-    std::vector<std::pair<PairKey, double>> pending_;
-    /// Reusable per-shard grouping buffers for Flush.
-    std::vector<std::vector<std::pair<PairKey, double>>> by_shard_;
-  };
-
-  /// True (and *score set) on a hit. Counts one hit or one miss —
-  /// except on the *first* touch of a prewarmed entry, which returns
-  /// the score but counts a miss (see Prewarm).
+  /// True (and *score set) on a hit. Counts one hit or one miss.
   bool Lookup(const PairKey& key, double* score);
 
   /// Stores the score; overwriting an existing entry is harmless
@@ -141,27 +91,13 @@ class PredictionCache {
   /// store_peer_hit — the serving entry was paid by a sibling worker.
   void CountStoreHit(bool peer = false);
 
-  /// Seeds the cache with a replayed (journal) score without touching
-  /// the hit/miss counters. The entry is marked prewarmed: its first
-  /// Lookup still counts as a miss (the run being resumed would have
-  /// computed it there), so the counter stream of a resumed run is
-  /// bit-identical to an uninterrupted one — only the base-model call
-  /// is skipped. An existing entry is left untouched.
-  void Prewarm(const PairKey& key, double score);
-
   Stats stats() const;
   size_t entry_count() const;
 
  private:
-  struct Entry {
-    double score = 0.0;
-    /// Replayed, not yet touched: first Lookup counts a miss.
-    bool prewarmed = false;
-  };
-
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<PairKey, Entry, PairKeyHasher> map;
+    std::unordered_map<PairKey, double, PairKeyHasher> map;
   };
 
   size_t ShardIndex(const PairKey& key) const {
@@ -175,9 +111,6 @@ class PredictionCache {
 
   Shard& ShardFor(const PairKey& key) { return *shards_[ShardIndex(key)]; }
 
-  /// Insert body shared by Insert and View::Flush; `shard.mutex` held.
-  void InsertLocked(Shard& shard, const PairKey& key, double score);
-
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t max_entries_per_shard_;
   std::atomic<long long> hits_{0};
@@ -190,8 +123,6 @@ class PredictionCache {
   obs::Counter* metric_store_peer_hits_ = nullptr;
   obs::Counter* metric_misses_ = nullptr;
   obs::Counter* metric_evictions_ = nullptr;
-  obs::Counter* metric_view_hits_ = nullptr;
-  obs::Counter* metric_flush_locks_ = nullptr;
 };
 
 /// The batched + cached + pooled scoring layer every hot path drains
@@ -212,14 +143,6 @@ class PredictionCache {
 /// out, inside its one call.
 class ScoringEngine : public Matcher {
  public:
-  /// Durability hook: invoked once per freshly *computed* score (cache
-  /// hits and prewarmed replays never fire it), sequentially on the
-  /// calling thread in input order, after the score is known good. The
-  /// write-ahead journal (src/persist) subscribes here; anything the
-  /// observer durably records can be Prewarm()ed into a later engine to
-  /// resume a killed job without re-paying the model call.
-  using ScoreObserver = std::function<void(const PairKey&, double)>;
-
   struct Options {
     /// Disable to measure the raw batched path (or to bound memory).
     bool enable_cache = true;
@@ -230,22 +153,25 @@ class ScoringEngine : public Matcher {
     /// its own per-record and per-pair work over it. nullptr scores
     /// every batch inline on the calling thread.
     util::ThreadPool* pool = nullptr;
-    /// Optional journal hook; empty = no observation overhead.
-    ScoreObserver observer;
-    /// Durable read-through hooks (src/persist's ScoreStore binds
-    /// them): `store_probe` is consulted after a cache miss — nonzero
-    /// (and *score set) serves the miss without a base-model call —
-    /// and `store_write` is invoked once per freshly computed score,
-    /// right after `observer`, on the calling thread in input order.
-    /// The probe's return value says who paid for the score: 0 = miss,
-    /// 1 = this worker's own store entry, 2 = an entry absorbed from a
-    /// sibling worker sharing the store directory (tallied as
-    /// store_peer_hits on top of store_hits). A bool-returning lambda
-    /// still converts — false/true map to 0/1. Store-served scores
-    /// keep the hit/miss/eviction counter stream and every result byte
-    /// identical to computing (the store only holds values the
-    /// deterministic model produced); they are tallied separately as
-    /// PredictionCache::Stats::store_hits.
+    /// Durable read-through hooks — the one place paid scores are
+    /// replayed and recorded (service::RunDurableExplain binds them to
+    /// its journal replay, the write-ahead journal and the cross-job
+    /// ScoreStore). `store_probe` is consulted after a cache miss:
+    /// nonzero (and *score set) serves the miss without a base-model
+    /// call. `store_write` is invoked once per freshly computed score
+    /// (never for cache hits or probe-served misses), sequentially on
+    /// the calling thread in input order, after the score is known
+    /// good. The probe's return value says who paid for the score:
+    /// 0 = miss, 1 = this worker (its journal or its own store entry),
+    /// 2 = an entry absorbed from a sibling worker sharing the store
+    /// directory (tallied as store_peer_hits on top of store_hits). A
+    /// bool-returning lambda still converts — false/true map to 0/1.
+    /// A probe-served miss still counts its one cache miss and is
+    /// inserted exactly where a computed score would be, so the
+    /// hit/miss/eviction counter stream and every result byte are
+    /// identical to computing (the hooks only ever hold values the
+    /// deterministic model produced); the saved calls are tallied
+    /// separately as PredictionCache::Stats::store_hits.
     using StoreProbe = std::function<int(const PairKey&, double*)>;
     using StoreWrite = std::function<void(const PairKey&, double)>;
     StoreProbe store_probe;
@@ -288,12 +214,6 @@ class ScoringEngine : public Matcher {
   /// Errors other than ScoringError still propagate.
   BatchOutcome TryScoreBatch(std::span<const RecordPair> pairs) const;
 
-  /// Seeds the prediction cache with a replayed score (no-op with the
-  /// cache disabled — there is nowhere to put it). See
-  /// PredictionCache::Prewarm for the first-touch-counts-as-miss
-  /// accounting that keeps resumed runs bit-identical.
-  void Prewarm(const PairKey& key, double score) const;
-
   PredictionCache::Stats cache_stats() const;
   const Options& options() const { return options_; }
   const Matcher* base() const { return base_; }
@@ -311,6 +231,13 @@ class ScoringEngine : public Matcher {
                       std::vector<double>* scores, std::vector<uint8_t>* ok,
                       bool* budget_exhausted) const;
 
+  /// The one batch body behind ScoreBatch and TryScoreBatch: dedupe,
+  /// sequential cache/store probes, one miss-scoring call (the
+  /// throwing ScoreMisses, or TryScoreMisses when `isolate_failures`),
+  /// then sequential inserts and store_write calls in slot order.
+  BatchOutcome RunBatch(std::span<const RecordPair> pairs,
+                        bool isolate_failures) const;
+
   /// Registry handles, resolved once in the constructor (all null when
   /// Options::metrics is null).
   struct MetricHandles {
@@ -318,21 +245,11 @@ class ScoringEngine : public Matcher {
     obs::Histogram* batch_latency_us = nullptr;
     obs::Counter* batches = nullptr;
     obs::Counter* scores_computed = nullptr;
-    /// Batches that found the view taken by a concurrent producer and
-    /// fell back to the locked per-lookup path (shard contention
-    /// indicator; always 0 for a single-threaded caller).
-    obs::Counter* cache_contended = nullptr;
   };
 
   const Matcher* base_;
   Options options_;
   mutable PredictionCache cache_;
-  /// Single-writer batched cache arm: the batch that wins `view_busy_`
-  /// probes and inserts through `view_` (no shard locks on hits, one
-  /// lock per shard at flush); losers — only possible with concurrent
-  /// external callers — use the locked path and count cache_contended.
-  mutable PredictionCache::View view_;
-  mutable std::atomic<bool> view_busy_{false};
   MetricHandles metric_;
 };
 

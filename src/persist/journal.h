@@ -14,10 +14,10 @@ namespace certa::persist {
 /// An explanation job's only expensive, externally-paid work is its
 /// model calls; everything else is cheap deterministic CPU. The journal
 /// records every freshly computed score as it happens, so a job killed
-/// at any instruction can be resumed by replaying the journal into the
-/// PredictionCache (see ScoringEngine::Prewarm) and re-running — every
-/// already-paid call becomes a cache hit and the result is bit-identical
-/// to an uninterrupted run.
+/// at any instruction can be resumed by replaying the journal through
+/// the engine's store_probe hook (see ScoringEngine::Options) and
+/// re-running — every already-paid call is served from the replay and
+/// the result is bit-identical to an uninterrupted run.
 ///
 /// On-disk format (host-endian, single-machine durability):
 ///   header:  8-byte magic "CERTAWAL" + uint32 version (1)

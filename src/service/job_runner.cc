@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -155,10 +156,15 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
   }
   outcome.resumed = !replay.entries.empty();
   outcome.replayed_scores = static_cast<long long>(replay.entries.size());
-  std::vector<std::pair<models::PairKey, double>> prewarm;
-  prewarm.reserve(replay.entries.size());
+  // Every already-paid score, served through the engine's store_probe
+  // below: a resumed run re-pays none of them and, because a
+  // probe-served miss is counted and inserted exactly like a computed
+  // one, still produces the uninterrupted run's counters and bytes.
+  std::unordered_map<models::PairKey, double, models::PairKeyHasher>
+      replayed;
+  replayed.reserve(replay.entries.size());
   for (const persist::JournalEntry& entry : replay.entries) {
-    prewarm.emplace_back(entry.key, entry.score);
+    replayed.emplace(entry.key, entry.score);
   }
   if (replay.duplicates > 0) {
     // Resumes of resumes re-log replayed-then-recomputed pairs; compact
@@ -234,37 +240,45 @@ JobOutcome RunDurableExplain(const JobSpec& spec, const std::string& job_dir,
   // resume, not truncate), so the adapter leaves it out here.
   core::CertaExplainer::Options explainer_options =
       ExplainerOptionsFromRequest(spec, /*include_deadline=*/false);
-  explainer_options.replayed_scores = &prewarm;
   explainer_options.cancel = options.cancel;
   explainer_options.metrics = options.metrics;
   explainer_options.trace = options.trace;
   explainer_options.use_candidate_index = options.use_candidate_index;
-  if (options.store != nullptr && options.store->is_open()) {
-    // Scope store entries to the model's identity (matcher id +
-    // training fingerprint): jobs over the same benchmark share paid
-    // scores while different models/data can never collide.
-    const uint64_t scope = persist::HashScope(spec.model, fingerprint);
-    persist::ScoreStore* store = options.store;
-    // Start the run with the freshest view of sibling streams a shared
-    // store can offer (no-op for a single-writer store).
-    store->RefreshPeers();
-    explainer_options.store_probe = [store, scope, &outcome](
-                                        const models::PairKey& key,
-                                        double* score) {
-      bool from_peer = false;
-      if (!store->Lookup(scope, key, score, &from_peer)) return 0;
-      ++outcome.store_hits;
-      if (from_peer) ++outcome.store_peer_hits;
-      return from_peer ? 2 : 1;
-    };
-    explainer_options.store_write = [store, scope](const models::PairKey& key,
-                                                   double score) {
-      store->Put(scope, key, score);
-    };
-  }
-  explainer_options.score_observer = [&](const models::PairKey& key,
-                                         double score) {
+  // Scope store entries to the model's identity (matcher id + training
+  // fingerprint): jobs over the same benchmark share paid scores while
+  // different models/data can never collide.
+  persist::ScoreStore* store =
+      options.store != nullptr && options.store->is_open() ? options.store
+                                                           : nullptr;
+  const uint64_t scope =
+      store != nullptr ? persist::HashScope(spec.model, fingerprint) : 0;
+  // Start the run with the freshest view of sibling streams a shared
+  // store can offer (no-op for a single-writer store).
+  if (store != nullptr) store->RefreshPeers();
+  // One probe for every paid score: this job dir's journal first, then
+  // the cross-job store.
+  explainer_options.store_probe = [&replayed, store, scope, &outcome](
+                                      const models::PairKey& key,
+                                      double* score) {
+    auto it = replayed.find(key);
+    if (it != replayed.end()) {
+      *score = it->second;
+      return 1;
+    }
+    if (store == nullptr) return 0;
+    bool from_peer = false;
+    if (!store->Lookup(scope, key, score, &from_peer)) return 0;
+    ++outcome.store_hits;
+    if (from_peer) ++outcome.store_peer_hits;
+    return from_peer ? 2 : 1;
+  };
+  // One write for every fresh score: journal, store, then the
+  // heartbeat and flush cadence (a flush syncs both).
+  explainer_options.store_write = [&, store, scope](
+                                      const models::PairKey& key,
+                                      double score) {
     journal.Append(key, score);
+    if (store != nullptr) store->Put(scope, key, score);
     ++fresh;
     if (options.heartbeat) options.heartbeat();
     if (options.checkpoint_every > 0 &&

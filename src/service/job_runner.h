@@ -42,8 +42,8 @@ JobSpec SpecFromCheckpoint(const persist::JobCheckpoint& checkpoint);
 /// request.deadline_ms as a resilience deadline — the in-process path
 /// wants that; durable runs leave it false because the runner's
 /// watchdog owns the job deadline (park + resume, not truncate).
-/// Durability hooks (cancel/observer/progress) are the caller's to
-/// fill in afterwards.
+/// Durability hooks (cancel/store_probe/store_write/progress) are the
+/// caller's to fill in afterwards.
 core::CertaExplainer::Options ExplainerOptionsFromRequest(
     const api::ExplainRequest& request, bool include_deadline);
 

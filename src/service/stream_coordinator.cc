@@ -91,14 +91,20 @@ std::string StreamCoordinator::CheckpointFileName(int slot) {
 
 std::string StreamCoordinator::DatasetKey(const std::string& dataset,
                                           const std::string& data_dir) {
-  return dataset + '\x1f' + data_dir;
+  std::string key;
+  for (const std::string* part : {&dataset, &data_dir}) {
+    key += std::to_string(part->size());
+    key += ':';
+    key += *part;
+  }
+  return key;
 }
 
 std::string StreamCoordinator::RecordKey(const std::string& dataset,
                                          const std::string& data_dir,
                                          int side, int id) {
-  return dataset + '\x1f' + data_dir + '\x1f' + std::to_string(side) +
-         '\x1f' + std::to_string(id);
+  return DatasetKey(dataset, data_dir) + std::to_string(side) + ':' +
+         std::to_string(id);
 }
 
 int64_t StreamCoordinator::NowMs() const {
@@ -401,7 +407,8 @@ void StreamCoordinator::RecomputeJobStalenessLocked(
   for (const StreamOp::DepRecord& dep : it->second.records) {
     auto mod = mods_.find(
         RecordKey(dep.dataset, dep.data_dir, dep.side, dep.id));
-    if (mod != mods_.end() && mod->second.Newer(it->second.version)) {
+    if (mod != mods_.end() &&
+        mod->second.version.Newer(it->second.version)) {
       stale = true;
       break;
     }
@@ -449,7 +456,7 @@ bool StreamCoordinator::ApplyOpLocked(
       RecordKey(op.dataset, op.data_dir, op.side, op.record.id);
   Version version{op.seq, op.slot};
   auto mod = mods_.find(record_key);
-  if (mod != mods_.end() && !version.Newer(mod->second)) {
+  if (mod != mods_.end() && !version.Newer(mod->second.version)) {
     // A newer op already decided this record — convergence over
     // absorption order is exactly this skip.
     if (ack != nullptr) {
@@ -462,7 +469,8 @@ bool StreamCoordinator::ApplyOpLocked(
   std::string error;
   Overlay* overlay = GetOverlayLocked(op.dataset, op.data_dir, &error);
   if (overlay == nullptr) return false;
-  mods_[record_key] = version;
+  mods_[record_key] =
+      RecordMod{{op.dataset, op.data_dir, op.side, op.record.id}, version};
   int row = -1;
   bool created = false;
   bool removed = false;
@@ -714,20 +722,16 @@ StreamCoordinator::AbsorbPeersLocked() {
   return invalidated;
 }
 
-void StreamCoordinator::AbsorbFileLocked(
-    const std::string& path, size_t* offset,
-    std::vector<Invalidation>* invalidated) {
-  std::string content;
-  if (!util::ReadFileToString(path, &content)) return;
-  if (*offset == 0) {
+size_t StreamCoordinator::ScanOps(
+    const std::string& content, size_t pos,
+    const std::function<void(const StreamOp&)>& apply) {
+  if (pos == 0) {
     if (content.size() < kWalHeaderLen ||
         content.compare(0, kWalHeaderLen, kWalHeader) != 0) {
-      return;  // header not durable yet (or not a stream file)
+      return 0;  // header not durable yet (or not a stream file)
     }
-    *offset = kWalHeaderLen;
+    pos = kWalHeaderLen;
   }
-  if (content.size() < *offset) return;  // should not happen; be safe
-  size_t pos = *offset;
   while (pos < content.size()) {
     const size_t newline = content.find('\n', pos);
     if (newline == std::string::npos) break;  // incomplete tail line
@@ -736,18 +740,31 @@ void StreamCoordinator::AbsorbFileLocked(
     uint32_t expected = 0;
     if (space == std::string_view::npos ||
         !ParseHexCrc(line.substr(0, space), &expected)) {
-      break;  // torn or foreign bytes — the owner's problem, not ours
+      break;  // torn or foreign bytes
     }
     const std::string_view json = line.substr(space + 1);
     if (util::Crc32(json.data(), json.size()) != expected) break;
     StreamOp op;
     if (!ParseOp(json, &op)) break;
+    if (apply) apply(op);
+    pos = newline + 1;
+  }
+  return pos;
+}
+
+void StreamCoordinator::AbsorbFileLocked(
+    const std::string& path, size_t* offset,
+    std::vector<Invalidation>* invalidated) {
+  std::string content;
+  if (!util::ReadFileToString(path, &content)) return;
+  if (content.size() < *offset) return;  // should not happen; be safe
+  // A sibling's torn tail is the owner's problem, not ours: stop there
+  // and pick up from the same offset next time.
+  *offset = ScanOps(content, *offset, [&](const StreamOp& op) {
     if (op.seq > clock_) clock_ = op.seq;  // Lamport receive
     ApplyOpLocked(op, nullptr, invalidated);
     ++stats_.ops_absorbed;
-    pos = newline + 1;
-  }
-  *offset = pos;
+  });
 }
 
 bool StreamCoordinator::RecoverOwnWalLocked(std::string* error) {
@@ -765,27 +782,7 @@ bool StreamCoordinator::RecoverOwnWalLocked(std::string* error) {
     offsets_[WalFileName(options_.slot)] = kWalHeaderLen;
     return true;
   }
-  size_t valid = 0;
-  if (content.size() >= kWalHeaderLen &&
-      content.compare(0, kWalHeaderLen, kWalHeader) == 0) {
-    valid = kWalHeaderLen;
-    while (valid < content.size()) {
-      const size_t newline = content.find('\n', valid);
-      if (newline == std::string::npos) break;
-      const std::string_view line(content.data() + valid, newline - valid);
-      const size_t space = line.find(' ');
-      uint32_t expected = 0;
-      if (space == std::string_view::npos ||
-          !ParseHexCrc(line.substr(0, space), &expected)) {
-        break;
-      }
-      const std::string_view json = line.substr(space + 1);
-      if (util::Crc32(json.data(), json.size()) != expected) break;
-      StreamOp op;
-      if (!ParseOp(json, &op)) break;
-      valid = newline + 1;
-    }
-  }
+  const size_t valid = ScanOps(content, 0, nullptr);
   if (valid < content.size()) {
     stats_.torn_bytes_dropped +=
         static_cast<long long>(content.size() - valid);
@@ -925,20 +922,14 @@ bool StreamCoordinator::WriteCheckpointLocked() {
   writer.EndArray();
   writer.Key("mods");
   writer.BeginArray();
-  for (const auto& [key, version] : mods_) {
-    // Key parts round-trip structurally, not via the packed string.
-    const size_t p1 = key.find('\x1f');
-    const size_t p2 = key.find('\x1f', p1 + 1);
-    const size_t p3 = key.find('\x1f', p2 + 1);
+  for (const auto& [key, mod] : mods_) {
     writer.BeginObject();
-    WriteRecordFields(&writer, key.substr(0, p1),
-                      key.substr(p1 + 1, p2 - p1 - 1),
-                      std::stoi(key.substr(p2 + 1, p3 - p2 - 1)),
-                      std::stoi(key.substr(p3 + 1)));
+    WriteRecordFields(&writer, mod.record.dataset, mod.record.data_dir,
+                      mod.record.side, mod.record.id);
     writer.Key("seq");
-    writer.Int(static_cast<long long>(version.seq));
+    writer.Int(static_cast<long long>(mod.version.seq));
     writer.Key("vslot");
-    writer.Int(version.slot);
+    writer.Int(mod.version.slot);
     writer.EndObject();
   }
   writer.EndArray();
@@ -1094,9 +1085,13 @@ bool StreamCoordinator::LoadCheckpointLocked(std::string* error) {
         !ReadIntField(entry, "vslot", &vslot)) {
       continue;
     }
-    mods_[RecordKey(dataset, data_dir, static_cast<int>(side),
-                    static_cast<int>(id))] =
-        Version{static_cast<uint64_t>(seq), static_cast<int>(vslot)};
+    StreamOp::DepRecord record{std::move(dataset), std::move(data_dir),
+                               static_cast<int>(side), static_cast<int>(id)};
+    const std::string key =
+        RecordKey(record.dataset, record.data_dir, record.side, record.id);
+    mods_[key] = RecordMod{
+        std::move(record),
+        Version{static_cast<uint64_t>(seq), static_cast<int>(vslot)}};
   }
   for (const JsonValue& entry : deps->array_items()) {
     if (!entry.is_object()) continue;

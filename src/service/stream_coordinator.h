@@ -237,12 +237,22 @@ class StreamCoordinator {
     int base_rows[2] = {0, 0};
   };
 
+  /// A record's last-writer version, with the parts its RecordKey was
+  /// built from (the checkpoint writes these, never a re-split key).
+  struct RecordMod {
+    StreamOp::DepRecord record;
+    Version version;
+  };
+
   struct JobDeps {
     Version version;  // of the deps op (last-writer-wins)
     uint64_t snapshot = 0;
     std::vector<StreamOp::DepRecord> records;
   };
 
+  /// Map keys over (dataset, data_dir[, side, id]). Each string part is
+  /// length-prefixed, so no byte inside a name (0x1f included) can move
+  /// a boundary and alias another dataset or record.
   static std::string DatasetKey(const std::string& dataset,
                                 const std::string& data_dir);
   static std::string RecordKey(const std::string& dataset,
@@ -262,6 +272,12 @@ class StreamCoordinator {
   void MarkWatchersStaleLocked(const StreamOp& op,
                                std::vector<Invalidation>* invalidated);
   std::vector<Invalidation> AbsorbPeersLocked();
+  /// Walks the complete, CRC-valid op lines of a stream file's
+  /// `content` from `pos` (0 = check the header first), handing each
+  /// parsed op to `apply` when set. Returns the offset just past the
+  /// last valid line — 0 when the header itself is not valid.
+  static size_t ScanOps(const std::string& content, size_t pos,
+                        const std::function<void(const StreamOp&)>& apply);
   /// Reads complete, CRC-valid op lines of `path` starting at
   /// *offset, applying each; advances *offset past consumed bytes.
   void AbsorbFileLocked(const std::string& path, size_t* offset,
@@ -281,7 +297,7 @@ class StreamCoordinator {
   int fd_ = -1;
   uint64_t clock_ = 0;
   std::map<std::string, Overlay> overlays_;  // by DatasetKey
-  std::unordered_map<std::string, Version> mods_;  // by RecordKey
+  std::unordered_map<std::string, RecordMod> mods_;  // by RecordKey
   std::map<std::string, JobDeps> deps_;  // by job id
   std::unordered_map<std::string, std::set<std::string>> watchers_;
   std::set<std::string> stale_;

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -430,7 +431,29 @@ TEST(LatticeTagsTest, MalformedRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Cache prewarming (the replay half of the journal contract)
+// Journal replay through the engine's store_probe hook (the replay
+// half of the journal contract)
+
+using ScoreMap =
+    std::unordered_map<models::PairKey, double, models::PairKeyHasher>;
+
+/// Binds `replayed` as the engine's probe (the way RunDurableExplain
+/// serves a resumed job's journal) and `journal` as its store_write.
+models::ScoringEngine::Options ReplayOptions(const ScoreMap* replayed,
+                                             ScoreMap* journal) {
+  models::ScoringEngine::Options options;
+  options.store_probe = [replayed](const models::PairKey& key,
+                                   double* score) {
+    auto it = replayed->find(key);
+    if (it == replayed->end()) return 0;
+    *score = it->second;
+    return 1;
+  };
+  options.store_write = [journal](const models::PairKey& key, double score) {
+    journal->emplace(key, score);
+  };
+  return options;
+}
 
 TEST(PrewarmTest, ReplayedScoresSkipBaseModelButKeepCounters) {
   testing::FakeMatcher fake([](const data::Record& u, const data::Record& v) {
@@ -440,38 +463,32 @@ TEST(PrewarmTest, ReplayedScoresSkipBaseModelButKeepCounters) {
   const data::Record& r0 = table.record(0);
   const data::Record& r1 = table.record(1);
 
-  // Uninterrupted run: two fresh scores, observer fires for each.
-  std::vector<std::pair<models::PairKey, double>> journal;
-  models::ScoringEngine::Options options;
-  options.observer = [&](const models::PairKey& key, double score) {
-    journal.emplace_back(key, score);
-  };
-  models::ScoringEngine first(&fake, options);
+  // Uninterrupted run: two fresh scores, each journaled.
+  const ScoreMap nothing;
+  ScoreMap journal;
+  models::ScoringEngine first(&fake, ReplayOptions(&nothing, &journal));
   const double s00 = first.Score(r0, r0);
   const double s01 = first.Score(r0, r1);
   EXPECT_EQ(journal.size(), 2u);
   EXPECT_EQ(fake.calls(), 2);
   const models::PredictionCache::Stats first_stats = first.cache_stats();
 
-  // Resumed run: prewarm from the "journal", score the same pairs.
+  // Resumed run: the probe serves the "journal", same pairs scored.
   fake.reset_calls();
-  std::vector<std::pair<models::PairKey, double>> second_journal;
-  models::ScoringEngine::Options resumed_options;
-  resumed_options.observer = [&](const models::PairKey& key, double score) {
-    second_journal.emplace_back(key, score);
-  };
-  models::ScoringEngine second(&fake, resumed_options);
-  for (const auto& [key, score] : journal) second.Prewarm(key, score);
+  ScoreMap second_journal;
+  models::ScoringEngine second(&fake,
+                               ReplayOptions(&journal, &second_journal));
   EXPECT_DOUBLE_EQ(second.Score(r0, r0), s00);
   EXPECT_DOUBLE_EQ(second.Score(r0, r1), s01);
   // Zero base-model calls, zero re-journaled scores...
   EXPECT_EQ(fake.calls(), 0);
   EXPECT_TRUE(second_journal.empty());
-  // ...and bit-identical cache accounting: the first touch of a
-  // prewarmed entry counts as the miss it replaced.
+  // ...and bit-identical cache accounting: a probe-served lookup
+  // counts as the miss it replaced.
   const models::PredictionCache::Stats second_stats = second.cache_stats();
   EXPECT_EQ(second_stats.hits, first_stats.hits);
   EXPECT_EQ(second_stats.misses, first_stats.misses);
+  EXPECT_EQ(second_stats.store_hits, 2);
 
   // Second touches are plain hits in both worlds.
   (void)first.Score(r0, r0);
@@ -484,10 +501,15 @@ TEST(PrewarmTest, PrewarmNeverOverwritesComputedScore) {
       [](const data::Record&, const data::Record&) { return 0.42; });
   data::Table table = testing::MakeTable("T", {"a"}, {{"x"}});
   const data::Record& r0 = table.record(0);
-  models::ScoringEngine engine(&fake);
+  ScoreMap replayed;
+  ScoreMap journal;
+  models::ScoringEngine engine(&fake, ReplayOptions(&replayed, &journal));
   const double computed = engine.Score(r0, r0);
-  engine.Prewarm(models::HashPair(r0, r0), 0.99);  // stale/bogus replay
+  // A stale/bogus replay entry for a cached key is never consulted:
+  // the cache answers before the probe does.
+  replayed[models::HashPair(r0, r0)] = 0.99;
   EXPECT_DOUBLE_EQ(engine.Score(r0, r0), computed);
+  EXPECT_EQ(engine.cache_stats().store_hits, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -523,6 +545,34 @@ TEST(DurableRunTest, FreshThenNoOpResume) {
   EXPECT_EQ(second.replayed_scores, first.fresh_scores);
   EXPECT_EQ(second.fresh_scores, 0);
   EXPECT_EQ(second.result_json, first.result_json);
+}
+
+TEST(DurableRunTest, UncachedRerunPaysNothing) {
+  // The journal replay does not depend on the per-run cache: with the
+  // cache off, a re-run of a finished job still pays nothing and
+  // journals nothing.
+  ScratchDir scratch("durable_uncached");
+  service::JobSpec spec = SmallJob();
+  spec.use_cache = false;
+  service::DurableRunOptions options;
+  service::JobOutcome first =
+      service::RunDurableExplain(spec, scratch.dir(), options);
+  ASSERT_EQ(first.state, service::JobState::kComplete) << first.error;
+  EXPECT_GT(first.fresh_scores, 0);
+  const std::string journal_path = persist::JournalPathInDir(scratch.dir());
+  const std::string result_path = persist::ResultPathInDir(scratch.dir());
+  const std::string first_result = ReadAll(result_path);
+  const auto journal_size = fs::file_size(journal_path);
+
+  service::JobOutcome second =
+      service::RunDurableExplain(spec, scratch.dir(), options);
+  ASSERT_EQ(second.state, service::JobState::kComplete) << second.error;
+  EXPECT_TRUE(second.resumed);
+  EXPECT_EQ(second.fresh_scores, 0);
+  EXPECT_EQ(ReadAll(result_path), first_result);
+  EXPECT_EQ(second.result_json, first.result_json);
+  // Compaction may shrink a journal holding repeats; nothing is added.
+  EXPECT_LE(fs::file_size(journal_path), journal_size);
 }
 
 TEST(DurableRunTest, CancelAtManyPointsThenResumeBitIdentical) {

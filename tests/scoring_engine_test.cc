@@ -366,60 +366,6 @@ TEST(PredictionCacheTest, OverflowingOneShardDoesNotEvictOthers) {
             static_cast<long long>(residents.size()) + flooded);
 }
 
-TEST(PredictionCacheViewTest, BuffersInsertsUntilFlush) {
-  PredictionCache cache(4, 64);
-  PairKey key{11, 22};
-  double score = -1.0;
-  {
-    PredictionCache::View view(&cache);
-    view.Insert(key, 0.25);
-    // The view sees its own write immediately...
-    EXPECT_TRUE(view.Lookup(key, &score));
-    EXPECT_DOUBLE_EQ(score, 0.25);
-    // ...but the shards only get it at flush time.
-    EXPECT_EQ(cache.entry_count(), 0u);
-    view.Flush();
-    EXPECT_EQ(cache.entry_count(), 1u);
-    view.Insert(PairKey{33, 44}, 0.5);
-  }  // destructor flushes the tail
-  EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_TRUE(cache.Lookup(PairKey{33, 44}, &score));
-  EXPECT_DOUBLE_EQ(score, 0.5);
-}
-
-TEST(PredictionCacheViewTest, ReadThroughCountsLikeDirectLookups) {
-  PredictionCache cache(4, 64);
-  cache.Insert(PairKey{1, 1}, 0.9);
-  PredictionCache::View view(&cache);
-  double score = -1.0;
-  EXPECT_FALSE(view.Lookup(PairKey{2, 2}, &score));  // shard miss
-  EXPECT_TRUE(view.Lookup(PairKey{1, 1}, &score));   // shard hit
-  EXPECT_DOUBLE_EQ(score, 0.9);
-  EXPECT_TRUE(view.Lookup(PairKey{1, 1}, &score));   // local hit
-  PredictionCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2);
-  EXPECT_EQ(stats.misses, 1);
-}
-
-TEST(PredictionCacheViewTest, FlushPreservesEvictionAccounting) {
-  // Inserting N distinct keys through a view must trip the same
-  // shard-budget evictions as inserting them directly.
-  constexpr uint64_t kKeys = 200;
-  PredictionCache direct(2, 16);
-  for (uint64_t i = 0; i < kKeys; ++i) {
-    direct.Insert(PairKey{i, i * 31}, 0.5);
-  }
-  PredictionCache viewed(2, 16);
-  {
-    PredictionCache::View view(&viewed);
-    for (uint64_t i = 0; i < kKeys; ++i) {
-      view.Insert(PairKey{i, i * 31}, 0.5);
-    }
-  }
-  EXPECT_EQ(viewed.stats().evictions, direct.stats().evictions);
-  EXPECT_EQ(viewed.entry_count(), direct.entry_count());
-}
-
 // ---------------------------------------------------------------------------
 // ScoringEngine
 
@@ -576,30 +522,110 @@ TEST(ScoringEngineTest, AccountingIdenticalWithStoreAttached) {
   EXPECT_EQ(warm_stats.store_hits, reference.misses);
 }
 
-TEST(ScoringEngineTest, ObserverStaysSilentForStoreServedScores) {
-  // The observer feeds the write-ahead journal; a store-served score
-  // was never computed in this run, so journaling it would double-pay
-  // on replay. Only fresh computes may fire it.
+TEST(ScoringEngineTest, StoreWriteStaysSilentForProbeServedScores) {
+  // The hook pair as a durable run wires it: the probe serves a
+  // resumed job's journal replay first, then the cross-job store, and
+  // store_write feeds the journal. A probe-served score was never
+  // computed in this run, so journaling it again would double-pay on
+  // the next replay; only fresh computes may reach store_write.
   FakeMatcher base([](const data::Record&, const data::Record&) {
     return 0.5;
   });
   data::Record u = MakeRecord(0, {"u"});
   data::Record v = MakeRecord(1, {"v"});
   data::Record w = MakeRecord(2, {"w"});
+  std::unordered_map<PairKey, double, models::PairKeyHasher> replayed;
+  replayed[HashPair(v, w)] = 0.5;
   MapStore store;
   store.entries[HashPair(u, v)] = 0.5;
+  std::vector<PairKey> journaled;
   ScoringEngine::Options options;
-  store.Wire(&options);
-  std::vector<PairKey> observed;
-  options.observer = [&observed](const PairKey& key, double) {
-    observed.push_back(key);
+  options.store_probe = [&](const PairKey& key, double* score) {
+    for (const auto* source : {&replayed, &store.entries}) {
+      auto it = source->find(key);
+      if (it == source->end()) continue;
+      *score = it->second;
+      return 1;
+    }
+    return 0;
+  };
+  options.store_write = [&journaled](const PairKey& key, double) {
+    journaled.push_back(key);
   };
   ScoringEngine engine(&base, options);
-  std::vector<RecordPair> pairs = {{&u, &v}, {&u, &w}};
+  std::vector<RecordPair> pairs = {{&u, &v}, {&u, &w}, {&v, &w}};
   engine.ScoreBatch(pairs);
-  ASSERT_EQ(observed.size(), 1u);           // only the fresh {u, w}
-  EXPECT_EQ(observed[0], HashPair(u, w));
-  EXPECT_EQ(engine.cache_stats().store_hits, 1);
+  ASSERT_EQ(journaled.size(), 1u);  // only the fresh {u, w}
+  EXPECT_EQ(journaled[0], HashPair(u, w));
+  EXPECT_EQ(base.calls(), 1);
+  EXPECT_EQ(engine.cache_stats().store_hits, 2);
+}
+
+TEST(ScoringEngineTest, JournalProbeResumeMatchesBoundedCacheAccounting) {
+  // A two-entry-per-shard cache evicts constantly. A resume that
+  // serves the journal through store_probe must still pay nothing and
+  // reproduce the uninterrupted run's hit/miss/eviction stream: each
+  // replayed score enters the cache at the point the original run
+  // computed it, never ahead of time, so it neither crowds the shard
+  // nor is dropped for lack of room.
+  auto score_fn = [](const data::Record& u, const data::Record& v) {
+    return 0.01 * static_cast<double>(u.id * 31 + v.id);
+  };
+  std::vector<data::Record> records;
+  for (int i = 0; i < 10; ++i) {
+    records.push_back(
+        MakeRecord(i, {std::string(1, 'r') + std::to_string(i)}));
+  }
+  std::vector<std::vector<RecordPair>> batches;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<RecordPair> batch;
+    for (int i = 0; i < 10; ++i) {
+      batch.push_back({&records[i], &records[(i * (round + 2)) % 10]});
+      batch.push_back({&records[0], &records[i]});
+    }
+    batches.push_back(std::move(batch));
+  }
+  ScoringEngine::Options options;
+  options.cache_shards = 2;
+  options.max_cache_entries_per_shard = 2;
+
+  FakeMatcher first_base(score_fn);
+  std::unordered_map<PairKey, double, models::PairKeyHasher> journal;
+  ScoringEngine::Options first_options = options;
+  first_options.store_write = [&journal](const PairKey& key, double score) {
+    journal.emplace(key, score);
+  };
+  ScoringEngine first(&first_base, first_options);
+  std::vector<std::vector<double>> expected;
+  for (const auto& batch : batches) expected.push_back(first.ScoreBatch(batch));
+  const PredictionCache::Stats reference = first.cache_stats();
+  ASSERT_GT(reference.evictions, 0);
+  ASSERT_GT(reference.hits, 0);
+
+  FakeMatcher resumed_base(score_fn);
+  ScoringEngine::Options resumed_options = options;
+  int rewritten = 0;
+  resumed_options.store_probe = [&journal](const PairKey& key,
+                                           double* score) {
+    auto it = journal.find(key);
+    if (it == journal.end()) return 0;
+    *score = it->second;
+    return 1;
+  };
+  resumed_options.store_write = [&rewritten](const PairKey&, double) {
+    ++rewritten;
+  };
+  ScoringEngine resumed(&resumed_base, resumed_options);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_EQ(resumed.ScoreBatch(batches[b]), expected[b]) << "batch " << b;
+  }
+  EXPECT_EQ(resumed_base.calls(), 0);
+  EXPECT_EQ(rewritten, 0);
+  const PredictionCache::Stats stats = resumed.cache_stats();
+  EXPECT_EQ(stats.hits, reference.hits);
+  EXPECT_EQ(stats.misses, reference.misses);
+  EXPECT_EQ(stats.evictions, reference.evictions);
+  EXPECT_EQ(stats.store_hits, reference.misses);
 }
 
 TEST(ScoringEngineTest, StoreHitsExportedToMetricsRegistry) {

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "data/benchmarks.h"
+#include "data/csv.h"
 #include "data/dataset.h"
 #include "net/wire.h"
 #include "service/stream_coordinator.h"
@@ -588,6 +589,78 @@ TEST(StreamServiceTest, GoldenV1FramesReplyByteIdentically) {
         << "request: " << entry.request;
   }
   server->Stop(/*drain=*/true);
+}
+
+// ---------------------------------------------------------------------
+// Coordinator keys: names are framed, never split on a separator byte.
+
+TEST(StreamCoordinatorTest, SeparatorBytesInNamesSurviveCheckpointAndReopen) {
+  // Two (dataset, data_dir) splits of one string joined on 0x1f: the
+  // dataset name of the second holds the byte, and both directories
+  // load. Each split must get its own overlay, and checkpointing after
+  // every op must round-trip the names through Close and reopen.
+  ScratchDir scratch("sep");
+  const std::string root = scratch.dir();
+  const std::string dir_b = root + "/b";
+  const std::string dir_a = root + "/k\x1f" + root + "/b";
+  const data::Dataset base = data::MakeBenchmark("FZ");
+  for (const std::string& dir : {dir_a, dir_b}) {
+    fs::create_directories(dir);
+    ASSERT_TRUE(data::SaveDatasetDirectory(dir, base)) << dir;
+  }
+  const std::string dataset_a = "ds";
+  const std::string dataset_b = "ds\x1f" + root + "/k";
+  ASSERT_EQ(dataset_a + '\x1f' + dir_a, dataset_b + '\x1f' + dir_b);
+
+  auto record_with = [&](const std::string& token) {
+    data::Record record = base.left.record(0);
+    record.id = 900001;
+    record.values[0] = token;
+    return record;
+  };
+  service::StreamCoordinator::Options options;
+  options.dir = root + "/stream";
+  options.checkpoint_every = 1;
+  {
+    service::StreamCoordinator coordinator;
+    std::string error;
+    ASSERT_TRUE(coordinator.Open(options, &error)) << error;
+    service::StreamCoordinator::Ack ack;
+    ASSERT_EQ(coordinator.Upsert(dataset_b, dir_b, 0, record_with("zzbeta"),
+                                 &ack, nullptr, &error),
+              service::StreamCoordinator::OpStatus::kOk)
+        << error;
+    ASSERT_EQ(coordinator.Upsert(dataset_a, dir_a, 0,
+                                 record_with("zzalpha"), &ack, nullptr,
+                                 &error),
+              service::StreamCoordinator::OpStatus::kOk)
+        << error;
+    EXPECT_GE(coordinator.stats().checkpoints, 2);
+    coordinator.Close();
+  }
+
+  service::StreamCoordinator reopened;
+  std::string error;
+  ASSERT_TRUE(reopened.Open(options, &error)) << error;
+  EXPECT_EQ(reopened.stats().datasets, 2);
+  EXPECT_EQ(reopened.stats().replayed_ops, 0);  // checkpoint covered both
+  const struct {
+    const std::string& dataset;
+    const std::string& dir;
+    const char* token;
+  } kSplits[] = {{dataset_a, dir_a, "zzalpha"}, {dataset_b, dir_b, "zzbeta"}};
+  for (const auto& split : kSplits) {
+    std::vector<service::StreamCoordinator::MatchCandidate> candidates;
+    ASSERT_EQ(reopened.Match(split.dataset, split.dir, 0, {split.token}, 1,
+                             &candidates, &error),
+              service::StreamCoordinator::OpStatus::kOk)
+        << error;
+    ASSERT_EQ(candidates.size(), 1u) << split.token;
+    EXPECT_EQ(candidates[0].id, 900001) << split.token;
+    EXPECT_EQ(candidates[0].values[0], split.token);
+    EXPECT_GT(candidates[0].overlap, 0) << split.token;
+  }
+  reopened.Close();
 }
 
 }  // namespace
